@@ -29,6 +29,7 @@ impl Pipeline {
                 self.recover_at(0);
             }
             let mut e = self.rob.pop_front().expect("head exists");
+            debug_assert!(!self.ready.contains(e.rob_seq), "retired instruction left in the ready set");
             self.trace_record(&e, Some(self.now));
 
             // Oracle cross-check: the retired stream must match functional
@@ -307,13 +308,13 @@ impl Pipeline {
             self.squash_entry(&mut victim);
         }
         let max_rob_seq = self.rob.back().expect("recovery target survives").rob_seq;
-        self.next_rob_seq = max_rob_seq + 1;
-        // Prune squashed ordinals from the ready queue. Wakeup/completion
+        // Prune squashed ordinals from the ready set. Wakeup/completion
         // wheels and PRF waiter lists are pruned lazily instead: a stale
         // ordinal there (even one later reused, since `next_rob_seq` resets)
         // only triggers a spurious liveness re-check — every issue and
         // completion re-validates against the live ROB entry.
-        self.ready_list.split_off(&(max_rob_seq + 1));
+        self.ready.clear_range(max_rob_seq + 1, self.next_rob_seq);
+        self.next_rob_seq = max_rob_seq + 1;
         self.store_list.retain(|&s| s <= max_rob_seq);
         let (snap, pc, seq, instr, resolved_taken, psrc1, pred_meta) = {
             let e = &self.rob[i];

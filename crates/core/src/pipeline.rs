@@ -21,6 +21,7 @@ use crate::fault::{FaultKind, FaultSite};
 use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, MemoryPort, TelemetryHost, TelemetryPort};
 use crate::kernel::{KernelEvent, YieldPolicy};
 use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
+use crate::scheduler::{EventRing, ReadySet};
 use crate::stats::CoreStats;
 use crate::trace::{CycleSnap, PipeEvent, PipeTrace, SnapRing};
 use cfd_energy::EventCounts;
@@ -28,7 +29,7 @@ use cfd_isa::{Instr, Machine, MemImage, MemWidth, Program, QueueConfig};
 use cfd_mem::MemLevel;
 use cfd_obs::CpiComponent;
 use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, PredMeta, Ras, RasSnapshot};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Recovery snapshot attached to instructions that can mispredict.
 /// (The VQ renamer is a rename-stage structure repaired by the squash walk,
@@ -215,17 +216,25 @@ pub(crate) struct Pipeline {
     // Back end.
     pub(crate) rename: RenameState,
     pub(crate) rob: VecDeque<DynInst>,
-    /// ROB ordinals of dispatched instructions whose sources are all
-    /// computed, in age order (the scheduler's ready queue). Entries are
-    /// re-validated at issue; stale ordinals (squashed or re-blocked by a
-    /// corrupted remap) are dropped or re-registered there.
-    pub(crate) ready_list: BTreeSet<u64>,
-    /// Wakeup wheel: cycle -> ROB ordinals whose blocking source becomes
-    /// ready that cycle. Drained into `ready_list` at the head of `issue`.
-    pub(crate) wakeup_wheel: BTreeMap<u64, Vec<u64>>,
-    /// Completion wheel: cycle -> ROB ordinals of issued instructions whose
-    /// `ready_at` lands there. Replaces an every-cycle `exec_list` rescan.
-    pub(crate) completion_wheel: BTreeMap<u64, Vec<u64>>,
+    /// The scheduler's ready queue: a bitset over ROB slots holding the
+    /// ordinals of dispatched instructions whose sources are all computed,
+    /// scanned oldest-first from the ROB head. Entries are re-validated at
+    /// issue; stale ordinals (re-blocked by a corrupted remap) are dropped
+    /// or re-registered there, and recovery clears the squashed range.
+    pub(crate) ready: ReadySet,
+    /// Wakeup wheel: a cycle-indexed ring of ROB ordinals whose blocking
+    /// source becomes ready that cycle. Drained into `ready` at the head of
+    /// `issue`.
+    pub(crate) wakeup_wheel: EventRing,
+    /// Completion wheel: a cycle-indexed ring of ROB ordinals of issued
+    /// instructions whose `ready_at` lands there. Replaces an every-cycle
+    /// `exec_list` rescan.
+    pub(crate) completion_wheel: EventRing,
+    /// Scratch lists reused by every cycle's wakeup drain, issue select and
+    /// completion drain (always empty between stages).
+    pub(crate) wake_batch: Vec<u64>,
+    pub(crate) reregister: Vec<u64>,
+    pub(crate) completions: Vec<u64>,
     /// Sequence numbers of in-flight stores, in age order.
     pub(crate) store_list: VecDeque<u64>,
     pub(crate) iq_count: usize,
@@ -316,9 +325,12 @@ impl Pipeline {
             front_q: VecDeque::new(),
             rename: RenameState::new(cfg.prf_size),
             rob: VecDeque::new(),
-            ready_list: BTreeSet::new(),
-            wakeup_wheel: BTreeMap::new(),
-            completion_wheel: BTreeMap::new(),
+            ready: ReadySet::new(cfg.rob_size),
+            wakeup_wheel: EventRing::new(),
+            completion_wheel: EventRing::new(),
+            wake_batch: Vec::new(),
+            reregister: Vec::new(),
+            completions: Vec::new(),
             store_list: VecDeque::new(),
             iq_count: 0,
             lsq_count: 0,
@@ -527,9 +539,8 @@ impl Pipeline {
     /// through here so no registered consumer can miss its wakeup.
     pub(crate) fn prf_write(&mut self, p: PhysReg, value: i64, ready_at: u64, taint: Taint) {
         self.rename.write(p, value, ready_at, taint);
-        let waiters = self.rename.take_waiters(p);
-        if !waiters.is_empty() {
-            self.wakeup_wheel.entry(ready_at).or_default().extend(waiters);
+        if self.rename.has_waiters(p) {
+            self.wakeup_wheel.extend(ready_at, self.rename.drain_waiters(p));
         }
     }
 

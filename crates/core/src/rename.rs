@@ -139,10 +139,17 @@ impl RenameState {
         self.waiters[p as usize].push(seq);
     }
 
-    /// Drains and returns the waiter list of `p` (called by the producer's
-    /// write so the scheduler can move the consumers to its wakeup wheel).
-    pub fn take_waiters(&mut self, p: PhysReg) -> Vec<u64> {
-        std::mem::take(&mut self.waiters[p as usize])
+    /// Whether any instruction is registered as blocked on `p`.
+    pub fn has_waiters(&self, p: PhysReg) -> bool {
+        !self.waiters[p as usize].is_empty()
+    }
+
+    /// Drains the waiter list of `p` in registration order (called by the
+    /// producer's write so the scheduler can move the consumers to its
+    /// wakeup wheel). The list keeps its capacity for the register's next
+    /// consumers.
+    pub fn drain_waiters(&mut self, p: PhysReg) -> std::vec::Drain<'_, u64> {
+        self.waiters[p as usize].drain(..)
     }
 
     /// Total instructions parked on waiter lists (diagnostics only).

@@ -3,12 +3,19 @@
 //!
 //! The scheduler never polls the IQ. Dispatch registers each backend
 //! instruction via [`Pipeline::register_or_ready`]: instructions with all
-//! sources computed go straight to `ready_list` (a `BTreeSet` of ROB
-//! ordinals, so iteration is oldest-first); the rest park either on a
-//! physical register's waiter list (value not computed yet) or on the
-//! `wakeup_wheel` bucket of the cycle the value arrives. Producer writes go
-//! through [`Pipeline::prf_write`], which drains waiter lists into the
-//! wheel, and `issue` drains due wheel buckets before selecting.
+//! sources computed go straight to the ready set (a [`ReadySet`] bitset
+//! over ROB slots, scanned oldest-first from the ROB head); the rest park
+//! either on a physical register's waiter list (value not computed yet) or
+//! on the `wakeup_wheel` bucket of the cycle the value arrives. Producer
+//! writes go through [`Pipeline::prf_write`], which drains waiter lists
+//! into the wheel, and `issue` drains due wheel buckets before selecting.
+//!
+//! Both wheels are [`EventRing`]s: cycle-indexed buckets (`cycle & mask`)
+//! that grow in place when an event lands beyond the horizon. An event
+//! written for a cycle the ring has already drained fires at the next
+//! drain, exactly as an ordered map keyed by cycle would deliver it.
+//! Buckets, the ready bitset and the per-cycle scratch lists keep their
+//! capacity across cycles, so steady-state scheduling allocates nothing.
 //!
 //! Timing is identical to a per-cycle polling scheduler by construction:
 //! `issue` re-validates the full polling predicate (liveness + source
@@ -76,13 +83,163 @@ pub(crate) fn fu_class(instr: &Instr) -> FuClass {
     }
 }
 
+/// Buckets an [`EventRing`] starts with: twice the default hierarchy's
+/// full-miss load latency (≈250 cycles), so a ring grows only under fault
+/// injection or a slower configured memory.
+const RING_INITIAL_BUCKETS: usize = 512;
+
+/// A cycle-indexed event wheel: the bucket of cycle `c` is
+/// `buckets[c & mask]`, valid for cycles in `[next, next + len)`.
+///
+/// Delivery order matches an ordered map keyed by cycle: [`drain_due`]
+/// yields every event due by `now`, earliest cycle first and in push order
+/// within a cycle. An event pushed for a cycle before `next` (already
+/// drained) lands in the bucket of `next`, the earliest one still pending,
+/// so it fires at the next drain. An event beyond the horizon grows the
+/// ring in place to the next power of two that holds it.
+///
+/// [`drain_due`]: EventRing::drain_due
+#[derive(Debug, Clone)]
+pub(crate) struct EventRing {
+    buckets: Vec<Vec<u64>>,
+    /// First cycle not yet drained.
+    next: u64,
+}
+
+impl EventRing {
+    pub(crate) fn new() -> EventRing {
+        EventRing::with_buckets(RING_INITIAL_BUCKETS)
+    }
+
+    fn with_buckets(n: usize) -> EventRing {
+        debug_assert!(n.is_power_of_two());
+        EventRing { buckets: vec![Vec::new(); n], next: 0 }
+    }
+
+    /// The bucket that holds events for `cycle`, growing the ring when
+    /// `cycle` lies beyond the horizon.
+    fn bucket(&mut self, cycle: u64) -> &mut Vec<u64> {
+        let cycle = cycle.max(self.next);
+        let ahead = cycle - self.next;
+        if ahead >= self.buckets.len() as u64 {
+            self.grow(ahead + 1);
+        }
+        let mask = self.buckets.len() as u64 - 1;
+        &mut self.buckets[(cycle & mask) as usize]
+    }
+
+    /// Schedules `seq` at `cycle`.
+    pub(crate) fn push(&mut self, cycle: u64, seq: u64) {
+        self.bucket(cycle).push(seq);
+    }
+
+    /// Schedules every ordinal of `seqs` at `cycle`, in order.
+    pub(crate) fn extend(&mut self, cycle: u64, seqs: impl IntoIterator<Item = u64>) {
+        self.bucket(cycle).extend(seqs);
+    }
+
+    /// Resizes to at least `span` buckets. The pending window keeps its
+    /// cycles: the new length is a multiple of the old one, so each pending
+    /// bucket either stays put or moves to a slot past the old end (which
+    /// is empty), and one swap per bucket relocates it.
+    fn grow(&mut self, span: u64) {
+        let old = self.buckets.len();
+        let new = (span as usize).next_power_of_two().max(2 * old);
+        self.buckets.resize_with(new, Vec::new);
+        for k in 0..old as u64 {
+            let cycle = self.next + k;
+            let (from, to) = ((cycle as usize) & (old - 1), (cycle as usize) & (new - 1));
+            if from != to {
+                self.buckets.swap(from, to);
+            }
+        }
+    }
+
+    /// Appends every event due by `now` to `out` (earliest cycle first) and
+    /// advances the ring past `now`. Buckets keep their capacity.
+    pub(crate) fn drain_due(&mut self, now: u64, out: &mut Vec<u64>) {
+        if now < self.next {
+            return;
+        }
+        let len = self.buckets.len() as u64;
+        let span = (now - self.next + 1).min(len);
+        for k in 0..span {
+            let slot = ((self.next + k) & (len - 1)) as usize;
+            out.append(&mut self.buckets[slot]);
+        }
+        self.next = now + 1;
+    }
+}
+
+/// The scheduler's ready queue: one bit per ROB slot (`rob_seq & mask`,
+/// over a power-of-two capacity no smaller than the ROB). Live ROB
+/// ordinals span at most `rob_size` consecutive values, so they map to
+/// distinct bits, and a scan from the ROB head's slot with
+/// `trailing_zeros` visits them oldest-first across wrap-around.
+#[derive(Debug, Clone)]
+pub(crate) struct ReadySet {
+    words: Vec<u64>,
+    mask: u64,
+}
+
+impl ReadySet {
+    pub(crate) fn new(rob_size: usize) -> ReadySet {
+        let cap = rob_size.next_power_of_two().max(64);
+        ReadySet { words: vec![0; cap / 64], mask: cap as u64 - 1 }
+    }
+
+    #[inline]
+    fn locate(&self, seq: u64) -> (usize, u64) {
+        let slot = seq & self.mask;
+        ((slot >> 6) as usize, 1u64 << (slot & 63))
+    }
+
+    pub(crate) fn insert(&mut self, seq: u64) {
+        let (w, bit) = self.locate(seq);
+        self.words[w] |= bit;
+    }
+
+    pub(crate) fn remove(&mut self, seq: u64) {
+        let (w, bit) = self.locate(seq);
+        self.words[w] &= !bit;
+    }
+
+    pub(crate) fn contains(&self, seq: u64) -> bool {
+        let (w, bit) = self.locate(seq);
+        self.words[w] & bit != 0
+    }
+
+    /// Removes every ordinal in `[from, to)` (a squashed range).
+    pub(crate) fn clear_range(&mut self, from: u64, to: u64) {
+        for seq in from..to {
+            self.remove(seq);
+        }
+    }
+
+    /// The oldest member in `[from, end)`, for a window no wider than the
+    /// capacity. Slots and ordinals share their low six bits (the capacity
+    /// is a multiple of 64), so the scan steps whole words.
+    pub(crate) fn next_in(&self, mut from: u64, end: u64) -> Option<u64> {
+        while from < end {
+            let (w, _) = self.locate(from);
+            let bits = self.words[w] >> (from & 63);
+            if bits != 0 {
+                let seq = from + u64::from(bits.trailing_zeros());
+                return (seq < end).then_some(seq);
+            }
+            from = (from | 63) + 1;
+        }
+        None
+    }
+}
+
 impl Pipeline {
     // ------------------------------------------------------------------
     // Wakeup
     // ------------------------------------------------------------------
 
     /// Places a dispatched backend instruction under scheduler tracking:
-    /// into `ready_list` when every source is computed, otherwise parked on
+    /// into the ready set when every source is computed, otherwise parked on
     /// its first blocking source (waiter list when the value has no
     /// completion time yet, wakeup wheel when it does). The readiness
     /// predicate is exactly the polling scheduler's: stores wait on address
@@ -105,26 +262,26 @@ impl Pipeline {
                 if at == u64::MAX {
                     self.rename.add_waiter(p, rob_seq);
                 } else {
-                    self.wakeup_wheel.entry(at).or_default().push(rob_seq);
+                    self.wakeup_wheel.push(at, rob_seq);
                 }
                 return;
             }
         }
-        self.ready_list.insert(rob_seq);
+        self.ready.insert(rob_seq);
     }
 
-    /// Moves every wakeup event due by now into the ready queue.
+    /// Moves every wakeup event due by now into the ready queue. A
+    /// re-registration parks only on cycles after now, so one drain
+    /// delivers every due event.
     fn drain_wakeups(&mut self) {
-        while let Some(entry) = self.wakeup_wheel.first_entry() {
-            if *entry.key() > self.now {
-                break;
-            }
-            let seqs = entry.remove();
-            for rob_seq in seqs {
-                self.sched_wakeup_events += 1;
-                self.register_or_ready(rob_seq);
-            }
+        let mut batch = std::mem::take(&mut self.wake_batch);
+        self.wakeup_wheel.drain_due(self.now, &mut batch);
+        self.sched_wakeup_events += batch.len() as u64;
+        for &rob_seq in &batch {
+            self.register_or_ready(rob_seq);
         }
+        batch.clear();
+        self.wake_batch = batch;
     }
 
     // ------------------------------------------------------------------
@@ -146,28 +303,31 @@ impl Pipeline {
         ];
         let now = self.now;
 
-        // Oldest-first select over the ready queue. The set is not mutated
-        // inside the loop (issue never triggers recovery), so a snapshot of
-        // the ordinals is safe; removals are applied after the scan.
-        let candidates: Vec<u64> = self.ready_list.iter().copied().collect();
-        let mut remove: Vec<u64> = Vec::new();
-        let mut reregister: Vec<u64> = Vec::new();
-        for seq in candidates {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
+        // Oldest-first select over the ready set, scanned in place from the
+        // ROB head. Issue never triggers recovery, so the ROB window is
+        // fixed for the scan, and nothing inside the loop inserts into the
+        // set: a candidate's bit is cleared as it leaves, and re-blocked
+        // candidates are re-registered after the scan.
+        let (mut cursor, end) = match self.rob.front() {
+            Some(head) => (head.rob_seq, head.rob_seq + self.rob.len() as u64),
+            None => (0, 0),
+        };
+        let mut reregister = std::mem::take(&mut self.reregister);
+        while issued < self.cfg.issue_width {
+            let Some(seq) = self.ready.next_in(cursor, end) else { break };
+            cursor = seq + 1;
             self.sched_ready_checks += 1;
-            // Liveness: recovery prunes `ready_list`, but a pruned-then-
+            // Liveness: recovery prunes the ready set, but a pruned-then-
             // reused ordinal or a lazily-dropped wheel entry can still
             // surface here. The checks below make such entries inert.
             let Some(i) = self.rob_idx(seq) else {
-                remove.push(seq);
+                self.ready.remove(seq);
                 continue;
             };
             {
                 let e = &self.rob[i];
                 if !(e.dispatched && !e.issued && e.in_iq) {
-                    remove.push(seq);
+                    self.ready.remove(seq);
                     continue;
                 }
                 debug_assert!(e.needs_backend());
@@ -183,7 +343,7 @@ impl Pipeline {
             let ready = e.psrc1.is_none_or(|p| self.rename.is_ready(p, now))
                 && (is_store || e.psrc2.is_none_or(|p| self.rename.is_ready(p, now)));
             if !ready {
-                remove.push(seq);
+                self.ready.remove(seq);
                 reregister.push(seq);
                 continue;
             }
@@ -213,9 +373,9 @@ impl Pipeline {
             }
             issued += 1;
             self.stats.issued += 1;
-            remove.push(seq);
+            self.ready.remove(seq);
             let ready_at = self.rob[i].ready_at;
-            self.completion_wheel.entry(ready_at).or_default().push(seq);
+            self.completion_wheel.push(ready_at, seq);
             if self.rob[i].on_wrong_path {
                 self.stats.wrong_path_issued += 1;
             }
@@ -225,12 +385,11 @@ impl Pipeline {
                 self.iq_count -= 1;
             }
         }
-        for seq in remove {
-            self.ready_list.remove(&seq);
-        }
-        for seq in reregister {
+        for &seq in &reregister {
             self.register_or_ready(seq);
         }
+        reregister.clear();
+        self.reregister = reregister;
     }
 
     /// Computes the instruction at ROB index `i` and schedules its
@@ -376,16 +535,8 @@ impl Pipeline {
         // squashes younger ones). A bucket entry is only a *hint*: the
         // liveness check below drops ordinals that were squashed (and
         // possibly reused) after their instruction issued.
-        let mut completions: Vec<u64> = Vec::new();
-        while let Some(entry) = self.completion_wheel.first_entry() {
-            if *entry.key() > self.now {
-                break;
-            }
-            completions.extend(entry.remove());
-        }
-        if completions.is_empty() {
-            return;
-        }
+        let mut completions = std::mem::take(&mut self.completions);
+        self.completion_wheel.drain_due(self.now, &mut completions);
         completions.sort_unstable();
         for k in 0..completions.len() {
             let seq = completions[k];
@@ -421,11 +572,181 @@ impl Pipeline {
                 // pop) must be re-examined next cycle, exactly as the old
                 // exec_list kept unprocessed entries. Squashed ordinals in
                 // the requeued tail are dropped by the liveness check then.
-                if k + 1 < completions.len() {
-                    self.completion_wheel.entry(self.now + 1).or_default().extend(&completions[k + 1..]);
-                }
+                self.completion_wheel.extend(self.now + 1, completions[k + 1..].iter().copied());
                 break;
             }
+        }
+        completions.clear();
+        self.completions = completions;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfd_isa::prop_check;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The ordered-map wheel the ring replaces: drains every key `<= now`,
+    /// earliest first.
+    fn map_drain(map: &mut BTreeMap<u64, Vec<u64>>, now: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        while let Some(entry) = map.first_entry() {
+            if *entry.key() > now {
+                break;
+            }
+            out.extend(entry.remove());
+        }
+        out
+    }
+
+    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn event_beyond_the_horizon_fires_on_its_exact_cycle() {
+        for (ahead, start) in [(5, 0), (3, 1000), (1500, 0), (1_000_003, 7)] {
+            let mut ring = EventRing::with_buckets(4);
+            ring.push(start + 1, 1);
+            ring.push(start + ahead, 2);
+            ring.push(start + 2, 3);
+            let mut out = Vec::new();
+            for now in start..=start + ahead {
+                ring.drain_due(now, &mut out);
+                let want: &[u64] = match now - start {
+                    1 => &[1],
+                    2 => &[3],
+                    a if a == ahead => &[2],
+                    _ => &[],
+                };
+                assert_eq!(out, want, "ahead {ahead}, cycle {now}");
+                out.clear();
+            }
+        }
+    }
+
+    #[test]
+    fn ring_matches_an_ordered_map_drain_for_drain() {
+        // Each simulated cycle mirrors the stage order: events written
+        // before `issue` (commit/complete, possibly for cycles already
+        // drained), the `issue` drain, then writes after it (dispatch's
+        // `Jal` link and `Restore_VQ` write `ready_at = now`; sampled
+        // reconstruction writes cycle 0 from a later clock).
+        prop_check!(64, |rng| {
+            let mut ring = EventRing::with_buckets(1 << rng.range_u64(1, 6));
+            let mut map: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            let mut now = rng.range_u64(0, 50);
+            let mut seq = 0u64;
+            let mut out = Vec::new();
+            for _ in 0..200 {
+                for phase in 0..2 {
+                    for _ in 0..rng.range_u64(0, 4) {
+                        let at = match rng.range_u64(0, 6) {
+                            0 => 0,
+                            1 => now.saturating_sub(rng.range_u64(0, 3)),
+                            2 => now + rng.range_u64(40, 300),
+                            _ => now + rng.range_u64(1, 8),
+                        };
+                        ring.push(at, seq);
+                        map.entry(at).or_default().push(seq);
+                        seq += 1;
+                    }
+                    if phase == 0 {
+                        ring.drain_due(now, &mut out);
+                        assert_eq!(sorted(std::mem::take(&mut out)), sorted(map_drain(&mut map, now)), "cycle {now}");
+                    }
+                }
+                // Mostly single steps; sometimes a jump (a restored or
+                // reconstructed pipeline's clock).
+                now += if rng.range_u64(0, 20) == 0 { rng.range_u64(2, 600) } else { 1 };
+            }
+        });
+    }
+
+    #[test]
+    fn growth_keeps_pending_cycles() {
+        let mut ring = EventRing::with_buckets(8);
+        let mut out = Vec::new();
+        ring.drain_due(13, &mut out); // window now starts at 14
+        for c in 14..22 {
+            ring.push(c, c);
+        }
+        ring.push(14 + 40, 99); // forces growth with every bucket pending
+        assert!(ring.buckets.len() >= 64);
+        for now in 14..=54 {
+            ring.drain_due(now, &mut out);
+            let want: &[u64] = match now {
+                14..=21 => &[now],
+                54 => &[99],
+                _ => &[],
+            };
+            assert_eq!(out, want, "cycle {now}");
+            out.clear();
+        }
+    }
+
+    /// Oldest-first scan of the live window `[head, tail)`.
+    fn scan(set: &ReadySet, head: u64, tail: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut cursor = head;
+        while let Some(seq) = set.next_in(cursor, tail) {
+            out.push(seq);
+            cursor = seq + 1;
+        }
+        out
+    }
+
+    #[test]
+    fn ready_set_scans_oldest_first_across_wraparound() {
+        for rob_size in [168usize, 512] {
+            prop_check!(32, |rng| {
+                let mut set = ReadySet::new(rob_size);
+                let mut reference: BTreeSet<u64> = BTreeSet::new();
+                // Start near a slot wrap so the window straddles it early.
+                let mut head = rng.range_u64(0, 4096);
+                let mut tail = head;
+                for _ in 0..4000 {
+                    // Dispatch outweighs retire and squash, so the window
+                    // mostly runs full while its slots wrap several times.
+                    match rng.weighted(&[8, 3, 3, 2, 1]) {
+                        // Dispatch: the window grows up to the ROB size.
+                        0 if tail - head < rob_size as u64 => {
+                            if rng.bool() {
+                                set.insert(tail);
+                                reference.insert(tail);
+                            }
+                            tail += 1;
+                        }
+                        // Wakeup of a live ordinal.
+                        1 if tail > head => {
+                            let s = rng.range_u64(head, tail);
+                            set.insert(s);
+                            reference.insert(s);
+                        }
+                        // Issue removes a member.
+                        2 => {
+                            if let Some(&s) = reference.iter().nth(rng.range_usize(0, reference.len().max(1))) {
+                                set.remove(s);
+                                reference.remove(&s);
+                            }
+                        }
+                        // Retire: the head leaves (never while ready).
+                        3 if tail > head && !reference.contains(&head) => head += 1,
+                        // Recovery squashes a youngest range.
+                        4 if tail > head => {
+                            let keep = rng.range_u64(tail.saturating_sub(8).max(head + 1), tail + 1);
+                            set.clear_range(keep, tail);
+                            reference.retain(|&s| s < keep);
+                            tail = keep;
+                        }
+                        _ => {}
+                    }
+                    let want: Vec<u64> = reference.iter().copied().collect();
+                    assert_eq!(scan(&set, head, tail), want, "rob {rob_size} window [{head}, {tail})");
+                }
+            });
         }
     }
 }

@@ -297,6 +297,56 @@ fn mem_delay_fault_is_masked() {
     assert!(rep.injection.is_some());
 }
 
+/// Runs the fault kernel with `MemDelay(delay)` injected at load visit
+/// `nth`, with a full pipeline trace. Returns the report and the trace
+/// events.
+fn delayed_load_run(delay: u64, nth: u64) -> (cfd_core::RunReport, Vec<cfd_core::PipeEvent>) {
+    let (program, mem) = cfd_fault_kernel();
+    let rep = Core::new(CoreConfig::default(), program, mem)
+        .unwrap()
+        .with_pipe_trace(1 << 20)
+        .with_fault(FaultSpec { kind: FaultKind::MemDelay(delay), nth })
+        .run(2_000_000)
+        .expect("a memory delay is masked");
+    let events = rep.pipe_trace.as_ref().expect("trace armed").events().to_vec();
+    (rep, events)
+}
+
+#[test]
+fn mem_delay_beyond_the_wheel_horizon_fires_on_its_exact_cycle() {
+    // The scheduler's completion and wakeup wheels start with 512 buckets;
+    // these delays land far beyond that horizon. The load must still
+    // complete exactly `delay` cycles later than an undelayed response
+    // would, and its consumer (alone in a stalled machine) must issue on
+    // that very cycle.
+    let nth = 2;
+    let (base, base_events) = delayed_load_run(0, nth);
+    let fired = base.injection.as_ref().expect("fault fired").cycle;
+    // The faulted load: the one load issued on the injection cycle whose
+    // retirement follows the fault (the injector fires on its `nth` visit).
+    let load = base_events
+        .iter()
+        .filter(|e| e.disasm.starts_with("l8") && e.issue == Some(fired) && !e.squashed)
+        .map(|e| e.seq)
+        .min()
+        .expect("faulted load retires");
+    let find = |events: &[cfd_core::PipeEvent], seq: u64| events.iter().find(|e| e.seq == seq && !e.squashed).cloned();
+    let consumer_seq = load + 2; // `ld x` → `addi base` → `and p, x, 1`
+    let base_load = find(&base_events, load).unwrap();
+    let base_consumer = find(&base_events, consumer_seq).unwrap();
+    assert!(base_consumer.disasm.starts_with("And"), "{}", base_consumer.disasm);
+    for delay in [600, 2100, 70_000] {
+        let (rep, events) = delayed_load_run(delay, nth);
+        assert_eq!(rep.injection.as_ref().unwrap().cycle, fired);
+        assert_eq!(rep.stats.retired, base.stats.retired);
+        let l = find(&events, load).unwrap();
+        assert_eq!(l.issue, base_load.issue);
+        assert_eq!(l.complete.unwrap(), base_load.complete.unwrap() + delay, "delay {delay}: load completion");
+        let c = find(&events, consumer_seq).unwrap();
+        assert_eq!(c.issue.unwrap(), l.complete.unwrap(), "delay {delay}: consumer wakes with the value");
+    }
+}
+
 #[test]
 fn bq_corrupt_fault_is_detected() {
     // A flipped predicate in the BQ steers a Branch_on_BQ down the wrong

@@ -109,12 +109,18 @@ fn waiters_drain_once_and_in_registration_order() {
     assert_eq!(rs.waiting(), 3);
     // Producer-side drain returns p's waiters in registration order and
     // leaves q's untouched.
-    assert_eq!(rs.take_waiters(p), vec![17, 19]);
+    assert!(rs.has_waiters(p));
+    assert_eq!(rs.drain_waiters(p).collect::<Vec<_>>(), vec![17, 19]);
     assert_eq!(rs.waiting(), 1);
     // A second drain is empty: a wakeup is delivered exactly once.
-    assert!(rs.take_waiters(p).is_empty());
-    assert_eq!(rs.take_waiters(q), vec![23]);
+    assert!(!rs.has_waiters(p));
+    assert_eq!(rs.drain_waiters(p).count(), 0);
+    assert_eq!(rs.drain_waiters(q).collect::<Vec<_>>(), vec![23]);
     assert_eq!(rs.waiting(), 0);
+    // The drained list is reused: a later consumer registers and drains
+    // exactly as the first ones did.
+    rs.add_waiter(p, 31);
+    assert_eq!(rs.drain_waiters(p).collect::<Vec<_>>(), vec![31]);
 }
 
 #[test]

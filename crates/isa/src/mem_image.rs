@@ -5,13 +5,48 @@
 //! zero without allocating, which keeps wrong-path execution in the timing
 //! simulator exception-free (the paper's substrate likewise never faults in
 //! the simulated regions).
+//!
+//! An access that stays inside one page (every aligned access does) takes
+//! the word path: one page lookup and one little-endian copy of the whole
+//! width. Only an access that crosses a page boundary falls back to one
+//! lookup per byte. Pages are found through a fixed multiplicative hash of
+//! the page index, so lookups are cheap and a map's layout (and with it the
+//! `Debug` rendering) depends only on the sequence of writes, never on a
+//! per-process random seed.
 
 use crate::instr::MemWidth;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+/// Hashes a page index with one multiply by 2^64 / φ (Fibonacci
+/// hashing). Being odd, the multiplier maps consecutive indices to
+/// distinct low bits, and the high bits mix every input bit. The keys are
+/// addresses the simulated program computes, so a program built to collide
+/// them can only slow its own simulation.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+type Page = Box<[u8; PAGE_SIZE]>;
 
 /// Sparse, paged data memory.
 ///
@@ -26,7 +61,7 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
 }
 
 impl MemImage {
@@ -36,26 +71,38 @@ impl MemImage {
     }
 
     #[inline]
+    fn page(&self, addr: u64) -> Option<&Page> {
+        self.pages.get(&(addr >> PAGE_SHIFT))
+    }
+
+    #[inline]
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    #[inline]
     fn read_byte(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr & PAGE_MASK) as usize],
-            None => 0,
-        }
+        self.page(addr).map_or(0, |p| p[(addr & PAGE_MASK) as usize])
     }
 
     #[inline]
     fn write_byte(&mut self, addr: u64, val: u8) {
-        let page = self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = val;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = val;
     }
 
     /// Reads `width` bytes, little-endian, zero- or sign-extended to `i64`.
     pub fn read(&self, addr: u64, width: MemWidth, signed: bool) -> i64 {
-        let n = width.bytes();
-        let mut v: u64 = 0;
-        for i in 0..n {
-            v |= (self.read_byte(addr.wrapping_add(i)) as u64) << (8 * i);
-        }
+        let n = width.bytes() as usize;
+        let off = (addr & PAGE_MASK) as usize;
+        let v = if off + n <= PAGE_SIZE {
+            self.page(addr).map_or(0, |p| {
+                let mut word = [0u8; 8];
+                word[..n].copy_from_slice(&p[off..off + n]);
+                u64::from_le_bytes(word)
+            })
+        } else {
+            (0..n).fold(0, |v, i| v | u64::from(self.read_byte(addr.wrapping_add(i as u64))) << (8 * i))
+        };
         if signed {
             let shift = 64 - 8 * n as u32;
             ((v << shift) as i64) >> shift
@@ -66,10 +113,15 @@ impl MemImage {
 
     /// Writes the low `width` bytes of `val`, little-endian.
     pub fn write(&mut self, addr: u64, val: i64, width: MemWidth) {
-        let n = width.bytes();
-        let v = val as u64;
-        for i in 0..n {
-            self.write_byte(addr.wrapping_add(i), (v >> (8 * i)) as u8);
+        let n = width.bytes() as usize;
+        let off = (addr & PAGE_MASK) as usize;
+        let bytes = val.to_le_bytes();
+        if off + n <= PAGE_SIZE {
+            self.page_mut(addr)[off..off + n].copy_from_slice(&bytes[..n]);
+        } else {
+            for (i, &b) in bytes[..n].iter().enumerate() {
+                self.write_byte(addr.wrapping_add(i as u64), b);
+            }
         }
     }
 
@@ -188,6 +240,77 @@ mod tests {
         assert_ne!(a.stable_bytes(), b.stable_bytes());
         // Two pages: 2 * (8-byte index + 4 KiB payload).
         assert_eq!(a.stable_bytes().len(), 2 * (8 + 4096));
+    }
+
+    const WIDTHS: [MemWidth; 4] = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+
+    /// An address near a page boundary (crossing it for wide accesses), or
+    /// anywhere, including the top of the address space.
+    fn pick_addr(rng: &mut crate::check::Rng) -> u64 {
+        let page = rng.range_u64(0, 4);
+        match rng.range_u64(0, 4) {
+            0 => (page << PAGE_SHIFT) + PAGE_SIZE as u64 - rng.range_u64(1, 9),
+            1 => u64::MAX - rng.range_u64(0, 9),
+            2 => rng.next_u64(),
+            _ => (page << PAGE_SHIFT) + rng.range_u64(0, PAGE_SIZE as u64),
+        }
+    }
+
+    #[test]
+    fn word_path_matches_a_byte_wise_reference() {
+        crate::prop_check!(64, |rng| {
+            let mut m = MemImage::new();
+            let mut bytes: std::collections::BTreeMap<u64, u8> = std::collections::BTreeMap::new();
+            for _ in 0..200 {
+                let addr = pick_addr(rng);
+                let width = WIDTHS[rng.range_usize(0, 4)];
+                let n = width.bytes();
+                if rng.bool() {
+                    let val = rng.next_u64() as i64;
+                    m.write(addr, val, width);
+                    for i in 0..n {
+                        bytes.insert(addr.wrapping_add(i), (val as u64 >> (8 * i)) as u8);
+                    }
+                }
+                let signed = rng.bool();
+                let raw = (0..n).fold(0u64, |v, i| {
+                    v | u64::from(bytes.get(&addr.wrapping_add(i)).copied().unwrap_or(0)) << (8 * i)
+                });
+                let shift = 64 - 8 * n as u32;
+                let want = if signed { ((raw << shift) as i64) >> shift } else { raw as i64 };
+                assert_eq!(m.read(addr, width, signed), want, "{width:?} signed={signed} at {addr:#x}");
+            }
+            // Footprint: exactly the pages some written byte lives on.
+            let pages: std::collections::BTreeSet<u64> = bytes.keys().map(|a| a >> PAGE_SHIFT).collect();
+            assert_eq!(m.mapped_pages(), pages.len());
+            // Slice reads agree byte for byte, including across pages.
+            let start = (1 << PAGE_SHIFT) - 100;
+            let want: Vec<u8> = (start..start + 200).map(|a| bytes.get(&a).copied().unwrap_or(0)).collect();
+            assert_eq!(m.read_bytes(start, 200), want);
+        });
+    }
+
+    #[test]
+    fn clone_debug_and_stable_bytes_are_deterministic() {
+        let build = || {
+            let mut m = MemImage::new();
+            for k in 0..64u64 {
+                m.write_u64(k * 0x1_3000 + 8, k.wrapping_mul(0x9e37));
+            }
+            m
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let c = a.clone();
+        assert_eq!(format!("{a:?}"), format!("{c:?}"));
+        assert_eq!(a.stable_bytes(), b.stable_bytes());
+        assert_eq!(a.stable_bytes(), c.stable_bytes());
+        // Written in reverse order, the same content serializes the same.
+        let mut r = MemImage::new();
+        for k in (0..64u64).rev() {
+            r.write_u64(k * 0x1_3000 + 8, k.wrapping_mul(0x9e37));
+        }
+        assert_eq!(r.stable_bytes(), a.stable_bytes());
     }
 
     #[test]

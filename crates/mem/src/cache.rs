@@ -3,6 +3,12 @@
 //! Timing simulators need hit/miss decisions and replacement behaviour, not
 //! data: data lives in the `cfd-isa` memory image. This keeps caches cheap
 //! and makes wrong-path pollution effects come out naturally.
+//!
+//! Line state is two flat arrays whose all-zero contents mean "every line
+//! invalid": a tag array holding `tag + 1` (0 = invalid) and one byte per
+//! line with the LRU rank and the dirty bit. Creating a cache is therefore
+//! one zeroed allocation, which the allocator satisfies with untouched
+//! zero pages, however large the cache.
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,13 +36,10 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    lru: u8,
-    valid: bool,
-    dirty: bool,
-}
+/// Dirty bit of a line's state byte; the low seven bits are its LRU rank
+/// (`ways - 1` = most recently used).
+const DIRTY: u8 = 0x80;
+const LRU: u8 = !DIRTY;
 
 /// An eviction produced by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,16 +82,28 @@ impl CacheStats {
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
-    lines: Vec<Line>,
+    /// Per line, set-major: `tag + 1`, or 0 for an invalid line.
+    keys: Vec<u64>,
+    /// Per line: LRU rank in the low seven bits, [`DIRTY`] on top.
+    state: Vec<u8>,
     /// Statistics.
     pub stats: CacheStats,
 }
 
 impl Cache {
     /// Creates a cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`]),
+    /// has more than 128 ways, or leaves no index or offset bits (a tag
+    /// must leave room for the `tag + 1` encoding).
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
-        Cache { cfg, sets, lines: vec![Line::default(); sets * cfg.ways], stats: CacheStats::default() }
+        assert!((1..=128).contains(&cfg.ways), "cache ways must be in 1..=128");
+        assert!(cfg.block_bits + sets.trailing_zeros() > 0, "cache tags must leave an index or offset bit");
+        let lines = sets * cfg.ways;
+        Cache { cfg, sets, keys: vec![0; lines], state: vec![0; lines], stats: CacheStats::default() }
     }
 
     /// The configured geometry.
@@ -107,14 +122,32 @@ impl Cache {
         ((addr >> self.cfg.block_bits) as usize) & (self.sets - 1)
     }
 
+    /// The stored key of `addr`'s tag (`tag + 1`, never 0).
     #[inline]
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr >> self.cfg.block_bits >> self.sets.trailing_zeros()
+    fn key_of(&self, addr: u64) -> u64 {
+        (addr >> self.cfg.block_bits >> self.sets.trailing_zeros()) + 1
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Line] {
-        let w = self.cfg.ways;
-        &mut self.lines[set * w..(set + 1) * w]
+    /// First line index of `addr`'s set and the way holding its block.
+    #[inline]
+    fn lookup(&self, addr: u64) -> (usize, Option<usize>) {
+        let base = self.set_of(addr) * self.cfg.ways;
+        let key = self.key_of(addr);
+        (base, self.keys[base..base + self.cfg.ways].iter().position(|&k| k == key))
+    }
+
+    /// Makes way `pos` of the set at `base` the most recently used: every
+    /// valid line more recent than it ages by one rank.
+    fn promote(&mut self, base: usize, pos: usize) {
+        let ways = self.cfg.ways;
+        let old = self.state[base + pos] & LRU;
+        for (k, st) in self.keys[base..base + ways].iter().zip(&mut self.state[base..base + ways]) {
+            if *k != 0 && *st & LRU > old {
+                *st -= 1;
+            }
+        }
+        let st = &mut self.state[base + pos];
+        *st = (*st & DIRTY) | (ways as u8 - 1);
     }
 
     /// Probes for `addr`; a hit refreshes LRU and optionally marks dirty.
@@ -137,88 +170,60 @@ impl Cache {
     /// Pure hit test: no statistics, no LRU update (for pre-checks that
     /// may be retried).
     pub fn probe_peek(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let w = self.cfg.ways;
-        self.lines[set * w..(set + 1) * w].iter().any(|l| l.valid && l.tag == tag)
+        self.lookup(addr).1.is_some()
     }
 
     fn touch(&mut self, addr: u64, write: bool) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways as u8;
-        let lines = self.set_slice(set);
-        if let Some(pos) = lines.iter().position(|l| l.valid && l.tag == tag) {
-            let old = lines[pos].lru;
-            for l in lines.iter_mut() {
-                if l.valid && l.lru > old {
-                    l.lru -= 1;
-                }
-            }
-            lines[pos].lru = ways - 1;
-            if write {
-                lines[pos].dirty = true;
-            }
-            true
-        } else {
-            false
+        let (base, way) = self.lookup(addr);
+        let Some(pos) = way else { return false };
+        self.promote(base, pos);
+        if write {
+            self.state[base + pos] |= DIRTY;
         }
+        true
     }
 
     /// Fills the block containing `addr`, evicting LRU if needed. Returns
     /// the eviction, if any. `write` installs the block dirty
     /// (write-allocate).
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<Eviction> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways as u8;
-        let block_bits = self.cfg.block_bits;
-        let set_bits = self.sets.trailing_zeros();
-        let lines = self.set_slice(set);
-        if let Some(pos) = lines.iter().position(|l| l.valid && l.tag == tag) {
+        if self.touch(addr, write) {
             // Already present (e.g. a racing fill): just refresh.
-            let old = lines[pos].lru;
-            for l in lines.iter_mut() {
-                if l.valid && l.lru > old {
-                    l.lru -= 1;
-                }
-            }
-            lines[pos].lru = ways - 1;
-            if write {
-                lines[pos].dirty = true;
-            }
             return None;
         }
-        let pos = lines
-            .iter()
-            .position(|l| !l.valid)
-            .unwrap_or_else(|| lines.iter().enumerate().min_by_key(|(_, l)| l.lru).map(|(i, _)| i).unwrap());
-        let evict = if lines[pos].valid {
-            let victim_addr = ((lines[pos].tag << set_bits) | set as u64) << block_bits;
-            Some(Eviction { addr: victim_addr, dirty: lines[pos].dirty })
-        } else {
-            None
-        };
-        let old = if lines[pos].valid { lines[pos].lru } else { 0 };
-        for l in lines.iter_mut() {
-            if l.valid && l.lru > old {
-                l.lru -= 1;
-            }
+        let ways = self.cfg.ways;
+        let base = self.set_of(addr) * ways;
+        let keys = &self.keys[base..base + ways];
+        // The first invalid way, else the first least-recently-used one.
+        let pos = keys.iter().position(|&k| k == 0).unwrap_or_else(|| {
+            let ranks = &self.state[base..base + ways];
+            (1..ways).fold(0, |best, k| if ranks[k] & LRU < ranks[best] & LRU { k } else { best })
+        });
+        let victim = self.keys[base + pos];
+        let evict = (victim != 0).then(|| {
+            let set = (base / ways) as u64;
+            let victim_addr = (((victim - 1) << self.sets.trailing_zeros()) | set) << self.cfg.block_bits;
+            Eviction { addr: victim_addr, dirty: self.state[base + pos] & DIRTY != 0 }
+        });
+        self.keys[base + pos] = self.key_of(addr);
+        // The new block takes over the victim's rank (0 for an invalid way,
+        // whose state byte is never written), so `promote` ages exactly the
+        // lines more recent than the victim.
+        self.state[base + pos] &= LRU;
+        self.promote(base, pos);
+        if write {
+            self.state[base + pos] |= DIRTY;
         }
-        lines[pos] = Line { tag, lru: ways - 1, valid: true, dirty: write };
-        if let Some(e) = &evict {
-            if e.dirty {
-                self.stats.writebacks += 1;
-            }
+        if evict.is_some_and(|e| e.dirty) {
+            self.stats.writebacks += 1;
         }
         evict
     }
 
     /// Invalidates everything (e.g. between experiment phases).
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
+        self.keys.fill(0);
+        self.state.fill(0);
     }
 }
 
