@@ -16,7 +16,7 @@
 use cfd_core::{Core, CoreConfig, FetchBq, RenameState, VqRenamer};
 use cfd_isa::{Assembler, Machine, MemImage, NullSink, Reg};
 use cfd_mem::{Hierarchy, HierarchyConfig};
-use cfd_predictor::{DirectionPredictor, IslTage};
+use cfd_predictor::IslTage;
 use cfd_workloads::{by_name, Scale, Variant};
 use std::hint::black_box;
 use std::time::Instant;

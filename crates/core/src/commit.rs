@@ -316,18 +316,11 @@ impl Pipeline {
         self.ready.clear_range(max_rob_seq + 1, self.next_rob_seq);
         self.next_rob_seq = max_rob_seq + 1;
         self.store_list.retain(|&s| s <= max_rob_seq);
-        let (snap, pc, seq, instr, resolved_taken, psrc1, pred_meta) = {
-            let e = &self.rob[i];
-            (
-                e.snapshot.as_ref().expect("recovering instruction has a snapshot").clone(),
-                e.pc,
-                e.seq,
-                e.instr,
-                e.resolved_taken,
-                e.psrc1,
-                e.pred_meta.clone(),
-            )
-        };
+        // Borrow the recovering entry next to the disjoint front-end fields
+        // it repairs (no clone of its boxed snapshot or predictor metadata).
+        let e = &self.rob[i];
+        let (pc, seq, instr, resolved_taken, psrc1) = (e.pc, e.seq, e.instr, e.resolved_taken, e.psrc1);
+        let snap = e.snapshot.as_deref().expect("recovering instruction has a snapshot");
         if self.trace {
             eprintln!(
                 "[{}] BQ_RECOVER to snap head={} tail={} (was h={} t={})",
@@ -341,8 +334,8 @@ impl Pipeline {
         self.ras.restore(&snap.ras);
 
         // Predictor history rewinds to this branch and learns the outcome.
-        if let Some(meta) = pred_meta {
-            self.predictor.recover(Self::bpc(pc), resolved_taken.unwrap_or(false), &meta);
+        if let Some(meta) = &e.pred_meta {
+            self.predictor.recover(Self::bpc(pc), resolved_taken.unwrap_or(false), meta);
         }
 
         // Correct next PC.

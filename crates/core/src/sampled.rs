@@ -170,7 +170,7 @@ impl Warmer {
 
     /// Observes one functional retirement: L1I probe, data-hierarchy
     /// replay, BTB fill, and immediate-update predictor training (the
-    /// same predict/repair/train sequence the profiler replays).
+    /// same `observe` the profiler replays).
     fn observe(&mut self, ev: &RetireEvent) {
         self.clock += 1;
         let now = self.clock;
@@ -196,12 +196,7 @@ impl Warmer {
         }
         if ev.instr.is_plain_conditional() {
             if let Some(taken) = ev.taken {
-                let bpc = Pipeline::bpc(ev.pc);
-                let (pred, meta) = self.predictor.predict(bpc);
-                if pred != taken {
-                    self.predictor.recover(bpc, taken, &meta);
-                }
-                self.predictor.train(bpc, taken, &meta);
+                self.predictor.observe(Pipeline::bpc(ev.pc), taken);
             }
         }
     }

@@ -51,6 +51,11 @@ impl StatisticalCorrector {
         (pred, CorrectorMeta { index, inverted, pred, tage_pred })
     }
 
+    /// Table storage in bytes (one counter per byte).
+    pub fn storage_bytes(&self) -> usize {
+        self.ctrs.len()
+    }
+
     /// Trains at retirement: reward the counter when TAGE was right,
     /// punish it when TAGE was wrong.
     pub fn train(&mut self, taken: bool, meta: &CorrectorMeta) {

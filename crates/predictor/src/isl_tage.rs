@@ -14,6 +14,7 @@
 //! branches (the CFD targets) remain hard.
 
 use crate::corrector::{CorrectorMeta, StatisticalCorrector};
+use crate::history::HistorySnapshot;
 use crate::loop_pred::{LoopMeta, LoopPredictor};
 use crate::tage::{Tage, TageConfig, TageMeta};
 
@@ -21,6 +22,8 @@ use crate::tage::{Tage, TageConfig, TageMeta};
 #[derive(Debug, Clone)]
 pub struct IslTageMeta {
     tage: TageMeta,
+    /// History state before this branch (for recovery).
+    snapshot: HistorySnapshot,
     loop_meta: LoopMeta,
     corrector: CorrectorMeta,
     /// Final prediction (after corrector and loop-predictor overrides).
@@ -53,48 +56,71 @@ impl IslTage {
         }
     }
 
-    /// Predicts the branch at `pc`, speculatively updating internal history.
-    pub fn predict(&mut self, pc: u64) -> (bool, IslTageMeta) {
+    /// Looks up all three components under the current history, advancing
+    /// only the loop predictor's speculative counter; returns the final
+    /// direction.
+    fn lookup(&mut self, pc: u64) -> (bool, TageMeta, LoopMeta, CorrectorMeta) {
         let loop_meta = self.loop_pred.predict(pc);
-        let (tage_pred, tage_meta) = self.tage.predict(pc);
+        let tage = self.tage.lookup(pc);
         // The statistical corrector may invert unconfident TAGE output.
-        let (sc_pred, corrector) = self.corrector.filter(pc, tage_pred, tage_meta.provider_confident());
+        let (sc_pred, corrector) = self.corrector.filter(pc, tage.pred, tage.provider_confident());
         // Priority: loop predictor (when confident) > corrector > TAGE.
-        let (pred, from_loop) = match loop_meta.pred {
-            Some(p) => (p, true),
-            None => (sc_pred, false),
-        };
-        if pred != tage_pred {
-            // The speculative history must reflect the *final* prediction.
-            self.tage.recover(&tage_meta, pred, pc);
-        }
-        (pred, IslTageMeta { tage: tage_meta, loop_meta, corrector, pred, from_loop })
+        (loop_meta.pred.unwrap_or(sc_pred), tage, loop_meta, corrector)
+    }
+
+    /// Predicts the branch at `pc`, speculatively updating internal history
+    /// with the final prediction.
+    pub fn predict(&mut self, pc: u64) -> (bool, IslTageMeta) {
+        let (pred, tage, loop_meta, corrector) = self.lookup(pc);
+        let snapshot = self.tage.snapshot();
+        self.tage.push(pred, pc);
+        let from_loop = loop_meta.pred.is_some();
+        (pred, IslTageMeta { tage, snapshot, loop_meta, corrector, pred, from_loop })
     }
 
     /// Repairs speculative state after this branch mispredicted and
     /// resolved with direction `taken`.
     pub fn recover(&mut self, pc: u64, taken: bool, meta: &IslTageMeta) {
-        self.tage.recover(&meta.tage, taken, pc);
+        self.tage.recover(&meta.snapshot, taken, pc);
         self.loop_pred.recover(&meta.loop_meta, taken);
     }
 
     /// Discards this branch's speculative state (wrong-path squash).
     pub fn squash(&mut self, meta: &IslTageMeta) {
-        self.tage.squash(&meta.tage);
+        self.tage.squash(&meta.snapshot);
         self.loop_pred.squash(&meta.loop_meta);
     }
 
     /// Trains both components at retirement.
     pub fn train(&mut self, pc: u64, taken: bool, meta: &IslTageMeta) {
-        self.tage.train(pc, taken, &meta.tage);
-        self.corrector.train(taken, &meta.corrector);
-        let tage_was_wrong = meta.tage.pred != taken;
-        self.loop_pred.train(pc, taken, &meta.loop_meta, tage_was_wrong);
+        self.train_parts(pc, taken, &meta.tage, &meta.loop_meta, &meta.corrector);
+    }
+
+    fn train_parts(&mut self, pc: u64, taken: bool, tage: &TageMeta, loop_meta: &LoopMeta, corrector: &CorrectorMeta) {
+        self.tage.train(pc, taken, tage);
+        self.corrector.train(taken, corrector);
+        let tage_was_wrong = tage.pred != taken;
+        self.loop_pred.train(pc, taken, loop_meta, tage_was_wrong);
+    }
+
+    /// Immediate update: predicts `pc`, learns that it resolved `taken`, and
+    /// reports whether the prediction was wrong. Equal, state and result, to
+    /// [`predict`](Self::predict), [`recover`](Self::recover) on a
+    /// mispredict, then [`train`](Self::train); it pushes the resolved
+    /// direction directly, so it takes no history snapshot.
+    pub fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        let (pred, tage, loop_meta, corrector) = self.lookup(pc);
+        self.tage.push(taken, pc);
+        if pred != taken {
+            self.loop_pred.recover(&loop_meta, taken);
+        }
+        self.train_parts(pc, taken, &tage, &loop_meta, &corrector);
+        pred != taken
     }
 
     /// Total table storage in bytes.
     pub fn storage_bytes(&self) -> usize {
-        self.tage.storage_bytes() + (1 << 7) * 8 + (1 << 12)
+        self.tage.storage_bytes() + self.loop_pred.storage_bytes() + self.corrector.storage_bytes()
     }
 }
 
@@ -170,6 +196,15 @@ mod tests {
         }
         let rate = miss_b as f64 / n as f64;
         assert!(rate < 0.08, "correlated branch should be easy, rate={rate}");
+    }
+
+    #[test]
+    fn storage_counts_the_configured_tables() {
+        let tage = Tage::new(TageConfig::default()).storage_bytes();
+        for loop_bits in [5, 7, 9] {
+            let p = IslTage::with_config(TageConfig::default(), loop_bits);
+            assert_eq!(p.storage_bytes(), tage + (1 << loop_bits) * 8 + 4096, "loop_bits {loop_bits}");
+        }
     }
 
     #[test]

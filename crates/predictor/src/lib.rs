@@ -43,7 +43,7 @@ mod tage;
 pub use btb::{BranchKind, Btb, BtbEntry};
 pub use conf::ConfidenceEstimator;
 pub use corrector::{CorrectorMeta, StatisticalCorrector};
-pub use history::{FoldedHistory, GlobalHistory, HistorySnapshot};
+pub use history::{GlobalHistory, HistorySnapshot};
 pub use isl_tage::{IslTage, IslTageMeta};
 pub use loop_pred::{LoopMeta, LoopPredictor};
 pub use perceptron::{Perceptron, PerceptronMeta};
@@ -98,6 +98,11 @@ pub trait DirectionPredictor {
 
     /// Immediate-update convenience for trace-driven profiling: predict,
     /// repair, train, and report whether the prediction was wrong.
+    ///
+    /// Contract for overrides: the result and every later prediction must
+    /// equal what this default (`predict`, then `recover` on a mispredict,
+    /// then `train`) gives; an override may only skip work that sequence
+    /// does and then undoes, such as the speculative history snapshot.
     fn observe(&mut self, pc: u64, taken: bool) -> bool {
         let (pred, meta) = self.predict(pc);
         if pred != taken {
@@ -225,6 +230,9 @@ impl DirectionPredictor for IslTage {
         if let PredMeta::IslTage(m) = meta {
             IslTage::train(self, pc, taken, m);
         }
+    }
+    fn observe(&mut self, pc: u64, taken: bool) -> bool {
+        IslTage::observe(self, pc, taken)
     }
     fn name(&self) -> &'static str {
         "isl-tage"

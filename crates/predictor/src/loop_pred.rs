@@ -85,6 +85,11 @@ impl LoopPredictor {
         LoopMeta { entry: Some(idx), spec_iter_before: before, pred }
     }
 
+    /// Table storage in bytes (8 per entry).
+    pub fn storage_bytes(&self) -> usize {
+        self.entries.len() * 8
+    }
+
     /// Restores the speculative counter after a squash of this branch.
     pub fn squash(&mut self, meta: &LoopMeta) {
         if let Some(idx) = meta.entry {

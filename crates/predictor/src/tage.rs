@@ -7,9 +7,13 @@
 //! allocated" (UAONA) counter — one of the ISL-TAGE refinements — decides
 //! whether to trust weak newly-allocated entries.
 //!
-//! The predictor is *speculatively updated*: `predict` inserts the predicted
-//! direction into the global history, and the returned [`TageMeta`] carries
-//! the [`HistorySnapshot`] needed to repair the history on a misprediction.
+//! A prediction is split in two: [`Tage::lookup`] reads the tables under the
+//! current history and returns the [`TageMeta`] that training needs, and
+//! [`Tage::push`] shifts a direction into the history. A speculative front
+//! end takes a [`snapshot`](Tage::snapshot) between the two and pushes its
+//! predicted direction, repairing with [`recover`](Tage::recover) or
+//! [`squash`](Tage::squash); an immediate-update replay pushes the resolved
+//! direction and needs no snapshot.
 
 use crate::history::{GlobalHistory, HistorySnapshot};
 
@@ -53,11 +57,9 @@ struct TaggedEntry {
 /// Upper bound on tagged tables (fixed arrays keep metadata heap-free).
 pub const MAX_TABLES: usize = 16;
 
-/// Per-prediction metadata carried by an in-flight branch.
+/// Per-prediction metadata: what [`Tage::lookup`] saw, for training.
 #[derive(Debug, Clone)]
 pub struct TageMeta {
-    /// History state before this branch (for recovery).
-    pub snapshot: HistorySnapshot,
     /// Predicted direction.
     pub pred: bool,
     provider: Option<usize>,
@@ -87,40 +89,40 @@ impl TageMeta {
 pub struct Tage {
     cfg: TageConfig,
     base: Vec<i8>,
-    tables: Vec<Vec<TaggedEntry>>,
+    /// All tagged tables in one allocation: table `t`'s entry `i` sits at
+    /// `(t << tagged_bits) | i`.
+    tables: Vec<TaggedEntry>,
+    n_tables: usize,
     hist: GlobalHistory,
-    idx_folds: Vec<usize>,
-    tag_folds1: Vec<usize>,
-    tag_folds2: Vec<usize>,
+    /// Per table: handles of its index fold and its two tag folds.
+    folds: [[u8; 3]; MAX_TABLES],
     /// Use-alt-on-newly-allocated counter (4 bits, signed around 0).
     uaona: i8,
-    branches_seen: u64,
+    /// Trained branches left until the next graceful `u` reset.
+    u_reset_in: u64,
     alloc_seed: u32,
 }
 
 impl Tage {
     /// Creates a TAGE predictor from a configuration.
     pub fn new(cfg: TageConfig) -> Tage {
-        assert!(cfg.history_lengths.len() <= MAX_TABLES, "too many tagged tables");
+        let n_tables = cfg.history_lengths.len();
+        assert!(n_tables <= MAX_TABLES, "too many tagged tables");
         let mut hist = GlobalHistory::new();
-        let mut idx_folds = Vec::new();
-        let mut tag_folds1 = Vec::new();
-        let mut tag_folds2 = Vec::new();
-        for &hl in &cfg.history_lengths {
-            idx_folds.push(hist.add_fold(hl, cfg.tagged_bits));
-            tag_folds1.push(hist.add_fold(hl, cfg.tag_bits));
-            tag_folds2.push(hist.add_fold(hl, cfg.tag_bits - 1));
+        let mut folds = [[0; 3]; MAX_TABLES];
+        for (f, &hl) in folds.iter_mut().zip(&cfg.history_lengths) {
+            for (h, bits) in f.iter_mut().zip([cfg.tagged_bits, cfg.tag_bits, cfg.tag_bits - 1]) {
+                *h = hist.add_fold(hl, bits) as u8;
+            }
         }
-        let tables = cfg.history_lengths.iter().map(|_| vec![TaggedEntry::default(); 1 << cfg.tagged_bits]).collect();
         Tage {
             base: vec![0; 1 << cfg.base_bits],
-            tables,
+            tables: vec![TaggedEntry::default(); n_tables << cfg.tagged_bits],
+            n_tables,
             hist,
-            idx_folds,
-            tag_folds1,
-            tag_folds2,
+            folds,
             uaona: 0,
-            branches_seen: 0,
+            u_reset_in: cfg.u_reset_period,
             alloc_seed: 0x9e3779b9,
             cfg,
         }
@@ -130,26 +132,32 @@ impl Tage {
         (pc as usize ^ (pc as usize >> 2)) & ((1 << self.cfg.base_bits) - 1)
     }
 
-    fn table_index(&self, pc: u64, t: usize) -> usize {
-        let mask = (1usize << self.cfg.tagged_bits) - 1;
-        let f = self.hist.folded(self.idx_folds[t]) as usize;
-        let p = (self.hist.path() as usize) & mask;
-        (pc as usize ^ (pc as usize >> (self.cfg.tagged_bits as usize - t % 4)) ^ f ^ (p >> (t & 3))) & mask
+    #[inline]
+    fn entry(&self, t: usize, idx: u16) -> &TaggedEntry {
+        &self.tables[(t << self.cfg.tagged_bits) | idx as usize]
     }
 
-    fn table_tag(&self, pc: u64, t: usize) -> u16 {
-        let mask = (1u32 << self.cfg.tag_bits) - 1;
-        ((pc as u32 ^ self.hist.folded(self.tag_folds1[t]) ^ (self.hist.folded(self.tag_folds2[t]) << 1)) & mask) as u16
+    #[inline]
+    fn entry_mut(&mut self, t: usize, idx: usize) -> &mut TaggedEntry {
+        &mut self.tables[(t << self.cfg.tagged_bits) | idx]
     }
 
-    /// Predicts the branch at `pc`, speculatively updating the history.
-    pub fn predict(&mut self, pc: u64) -> (bool, TageMeta) {
-        let n = self.tables.len();
+    /// Predicts the branch at `pc` under the current history, which it
+    /// leaves untouched.
+    pub fn lookup(&self, pc: u64) -> TageMeta {
+        let n = self.n_tables;
+        let bits = self.cfg.tagged_bits as usize;
+        let idx_mask = (1usize << bits) - 1;
+        let tag_mask = (1u32 << self.cfg.tag_bits) - 1;
+        let path = self.hist.path() as usize & idx_mask;
+        let p = pc as usize;
         let mut indices = [0u16; MAX_TABLES];
         let mut tags = [0u16; MAX_TABLES];
-        for t in 0..n {
-            indices[t] = self.table_index(pc, t) as u16;
-            tags[t] = self.table_tag(pc, t);
+        for (t, ((&[fi, f1, f2], index), tag)) in self.folds[..n].iter().zip(&mut indices).zip(&mut tags).enumerate() {
+            let f = self.hist.folded(fi as usize) as usize;
+            *index = ((p ^ (p >> (bits - t % 4)) ^ f ^ (path >> (t & 3))) & idx_mask) as u16;
+            let (g1, g2) = (self.hist.folded(f1 as usize), self.hist.folded(f2 as usize));
+            *tag = ((pc as u32 ^ g1 ^ (g2 << 1)) & tag_mask) as u16;
         }
         let base_idx = self.base_index(pc);
         let base_pred = self.base[base_idx] >= 0;
@@ -157,8 +165,7 @@ impl Tage {
         let mut provider = None;
         let mut alt_provider = None;
         for t in (0..n).rev() {
-            let e = &self.tables[t][indices[t] as usize];
-            if e.tag == tags[t] {
+            if self.entry(t, indices[t]).tag == tags[t] {
                 if provider.is_none() {
                     provider = Some(t);
                 } else {
@@ -169,12 +176,12 @@ impl Tage {
         }
 
         let alt_pred = match alt_provider {
-            Some(t) => self.tables[t][indices[t] as usize].ctr >= 0,
+            Some(t) => self.entry(t, indices[t]).ctr >= 0,
             None => base_pred,
         };
         let (pred, provider_idx, provider_new, provider_dir) = match provider {
             Some(t) => {
-                let e = &self.tables[t][indices[t] as usize];
+                let e = self.entry(t, indices[t]);
                 let newly = e.u == 0 && (e.ctr == 0 || e.ctr == -1);
                 let use_alt = newly && self.uaona >= 0;
                 let dir = e.ctr >= 0;
@@ -183,34 +190,32 @@ impl Tage {
             }
             None => (base_pred, base_idx, false, base_pred),
         };
-
-        let snapshot = self.hist.snapshot();
-        self.hist.insert(pred, pc);
-        let meta = TageMeta {
-            snapshot,
-            pred,
-            provider,
-            provider_idx,
-            provider_dir,
-            alt_pred,
-            base_idx,
-            provider_new,
-            indices,
-            tags,
-        };
-        (pred, meta)
+        TageMeta { pred, provider, provider_idx, provider_dir, alt_pred, base_idx, provider_new, indices, tags }
     }
 
-    /// Repairs the speculative history after `pc` resolved `taken` against a
-    /// mispredicted `meta`.
-    pub fn recover(&mut self, meta: &TageMeta, taken: bool, pc: u64) {
-        self.hist.recover(&meta.snapshot, taken, pc);
+    /// Shifts the direction of the branch at `pc` into the global history.
+    #[inline]
+    pub fn push(&mut self, taken: bool, pc: u64) {
+        self.hist.insert(taken, pc);
     }
 
-    /// Restores the history to just before this branch (squash without
-    /// re-execution, e.g. a wrong-path branch being discarded).
-    pub fn squash(&mut self, meta: &TageMeta) {
-        self.hist.restore(&meta.snapshot);
+    /// The history state, to be taken before [`push`](Self::push) so that
+    /// [`recover`](Self::recover) or [`squash`](Self::squash) can rewind it.
+    #[inline]
+    pub fn snapshot(&self) -> HistorySnapshot {
+        self.hist.snapshot()
+    }
+
+    /// Rewinds the history to `snap` and pushes the resolved direction of the
+    /// mispredicted branch at `pc`.
+    pub fn recover(&mut self, snap: &HistorySnapshot, taken: bool, pc: u64) {
+        self.hist.recover(snap, taken, pc);
+    }
+
+    /// Rewinds the history to `snap` (squash without re-execution, e.g. a
+    /// wrong-path branch being discarded).
+    pub fn squash(&mut self, snap: &HistorySnapshot) {
+        self.hist.restore(snap);
     }
 
     fn bump(ctr: &mut i8, up: bool, lo: i8, hi: i8) {
@@ -226,13 +231,13 @@ impl Tage {
     /// Trains the predictor at retirement with the resolved direction.
     pub fn train(&mut self, pc: u64, taken: bool, meta: &TageMeta) {
         let _ = pc;
-        self.branches_seen += 1;
-        // Graceful u-bit aging.
-        if self.branches_seen.is_multiple_of(self.cfg.u_reset_period) {
-            for table in &mut self.tables {
-                for e in table.iter_mut() {
-                    e.u >>= 1;
-                }
+        // Graceful u-bit aging every `u_reset_period` trained branches (a
+        // period of 0 never fires).
+        self.u_reset_in = self.u_reset_in.wrapping_sub(1);
+        if self.u_reset_in == 0 {
+            self.u_reset_in = self.cfg.u_reset_period;
+            for e in &mut self.tables {
+                e.u >>= 1;
             }
         }
 
@@ -247,7 +252,7 @@ impl Tage {
         // Update provider (or base) counter.
         match meta.provider {
             Some(t) => {
-                let e = &mut self.tables[t][meta.provider_idx];
+                let e = self.entry_mut(t, meta.provider_idx);
                 Self::bump(&mut e.ctr, taken, -4, 3);
                 // Useful-bit update uses the provider's *predict-time*
                 // direction: a provider that mispredicted must not be
@@ -269,15 +274,15 @@ impl Tage {
 
         // Allocate on misprediction in a longer-history table.
         if mispredicted {
+            let n = self.n_tables;
             let start = meta.provider.map_or(0, |t| t + 1);
-            if start < self.tables.len() {
+            if start < n {
                 // Pseudo-random start offset reduces ping-ponging.
                 self.alloc_seed = self.alloc_seed.wrapping_mul(1664525).wrapping_add(1013904223);
                 let skip = (self.alloc_seed >> 16) as usize % 2;
                 let mut allocated = false;
-                for t in (start + skip.min(self.tables.len() - 1 - start))..self.tables.len() {
-                    let idx = meta.indices[t] as usize;
-                    let e = &mut self.tables[t][idx];
+                for t in (start + skip.min(n - 1 - start))..n {
+                    let e = self.entry_mut(t, meta.indices[t] as usize);
                     if e.u == 0 {
                         e.tag = meta.tags[t];
                         e.ctr = if taken { 0 } else { -1 };
@@ -287,9 +292,8 @@ impl Tage {
                 }
                 if !allocated {
                     // Decay u over the candidate range to make room next time.
-                    for t in start..self.tables.len() {
-                        let idx = meta.indices[t] as usize;
-                        let e = &mut self.tables[t][idx];
+                    for t in start..n {
+                        let e = self.entry_mut(t, meta.indices[t] as usize);
                         if e.u > 0 {
                             e.u -= 1;
                         }
@@ -303,7 +307,7 @@ impl Tage {
     pub fn storage_bytes(&self) -> usize {
         let base = (1usize << self.cfg.base_bits) * 2 / 8;
         let per_entry_bits = self.cfg.tag_bits as usize + 3 + 2;
-        base + self.tables.len() * (1usize << self.cfg.tagged_bits) * per_entry_bits / 8
+        base + self.tables.len() * per_entry_bits / 8
     }
 }
 
@@ -314,10 +318,13 @@ mod tests {
     fn run_stream(t: &mut Tage, stream: impl Iterator<Item = (u64, bool)>) -> (u64, u64) {
         let (mut total, mut miss) = (0u64, 0u64);
         for (pc, taken) in stream {
-            let (pred, meta) = t.predict(pc);
+            let meta = t.lookup(pc);
+            let pred = meta.pred;
+            let snap = t.snapshot();
+            t.push(pred, pc);
             if pred != taken {
                 miss += 1;
-                t.recover(&meta, taken, pc);
+                t.recover(&snap, taken, pc);
             }
             t.train(pc, taken, &meta);
             total += 1;
@@ -381,16 +388,20 @@ mod tests {
         // mechanical invariant instead: recover + same-pc repredict is stable.
         let mut t = Tage::new(TageConfig::default());
         for i in 0..100 {
-            let (p, meta) = t.predict(0x40 + (i % 3) * 8);
-            if p != (i % 2 == 0) {
-                t.recover(&meta, i % 2 == 0, 0x40 + (i % 3) * 8);
+            let pc = 0x40 + (i % 3) * 8;
+            let meta = t.lookup(pc);
+            let snap = t.snapshot();
+            t.push(meta.pred, pc);
+            if meta.pred != (i % 2 == 0) {
+                t.recover(&snap, i % 2 == 0, pc);
             }
-            t.train(0x40 + (i % 3) * 8, i % 2 == 0, &meta);
+            t.train(pc, i % 2 == 0, &meta);
         }
-        let snap_before = t.hist.snapshot();
-        let (_, meta) = t.predict(0x99);
-        t.squash(&meta);
-        assert_eq!(t.hist.snapshot(), snap_before);
+        let snap_before = t.snapshot();
+        let meta = t.lookup(0x99);
+        t.push(meta.pred, 0x99);
+        t.squash(&snap_before);
+        assert_eq!(t.snapshot(), snap_before);
     }
 
     #[test]

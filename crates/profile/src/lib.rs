@@ -116,23 +116,25 @@ impl fmt::Display for ProfileReport {
     }
 }
 
+/// Counts per static branch into a dense table indexed by PC; the report's
+/// map is built once, at the end, from the PCs that executed.
 struct ProfileSink<'a> {
     predictor: &'a mut dyn DirectionPredictor,
-    report: &'a mut ProfileReport,
+    counts: Vec<BranchProfile>,
+    branches: u64,
+    mispredictions: u64,
 }
 
 impl TraceSink for ProfileSink<'_> {
     fn retire(&mut self, ev: &RetireEvent) {
         if let (Instr::Branch { .. }, Some(taken)) = (&ev.instr, ev.taken) {
             let miss = self.predictor.observe(ev.pc as u64 * 4, taken);
-            self.report.branches += 1;
-            let b = self.report.per_branch.entry(ev.pc).or_default();
+            self.branches += 1;
+            self.mispredictions += miss as u64;
+            let b = &mut self.counts[ev.pc as usize];
             b.executed += 1;
             b.taken += taken as u64;
-            if miss {
-                b.mispredicted += 1;
-                self.report.mispredictions += 1;
-            }
+            b.mispredicted += miss as u64;
         }
     }
 }
@@ -150,21 +152,24 @@ impl TraceSink for ProfileSink<'_> {
 pub fn profile(workload: &Workload, predictor_name: &str, instruction_limit: u64) -> Result<ProfileReport, SimError> {
     let mut predictor =
         predictor_by_name(predictor_name).unwrap_or_else(|| panic!("unknown predictor `{predictor_name}`"));
-    let mut report = ProfileReport {
-        name: workload.name,
-        predictor: predictor.name(),
-        instructions: 0,
+    let predictor_label = predictor.name();
+    let mut machine = Machine::new(workload.program.clone(), workload.mem.clone());
+    let mut sink = ProfileSink {
+        predictor: predictor.as_mut(),
+        counts: vec![BranchProfile::default(); workload.program.len()],
         branches: 0,
         mispredictions: 0,
-        per_branch: BTreeMap::new(),
     };
-    let mut machine = Machine::new(workload.program.clone(), workload.mem.clone());
-    {
-        let mut sink = ProfileSink { predictor: predictor.as_mut(), report: &mut report };
-        let stats = machine.run(instruction_limit, &mut sink)?;
-        report.instructions = stats.retired;
-    }
-    Ok(report)
+    let stats = machine.run(instruction_limit, &mut sink)?;
+    let per_branch = (0u32..).zip(sink.counts).filter(|(_, b)| b.executed > 0).collect();
+    Ok(ProfileReport {
+        name: workload.name,
+        predictor: predictor_label,
+        instructions: stats.retired,
+        branches: sink.branches,
+        mispredictions: sink.mispredictions,
+        per_branch,
+    })
 }
 
 /// MPKI attributed to each control-flow class (the paper's Fig. 6c): joins
@@ -234,6 +239,16 @@ mod tests {
         let tage = profile(&w, "isl-tage", 50_000_000).unwrap();
         let bimodal = profile(&w, "bimodal", 50_000_000).unwrap();
         assert!(bimodal.mispredictions >= tage.mispredictions);
+    }
+
+    #[test]
+    fn per_branch_holds_exactly_the_executed_branches() {
+        let w = small("hammock_like");
+        let rep = profile(&w, "isl-tage", 50_000_000).unwrap();
+        assert!(rep.per_branch.values().all(|b| b.executed > 0));
+        assert!(rep.per_branch.keys().all(|&pc| matches!(w.program.fetch(pc), Some(Instr::Branch { .. }))));
+        assert_eq!(rep.per_branch.values().map(|b| b.executed).sum::<u64>(), rep.branches);
+        assert_eq!(rep.per_branch.values().map(|b| b.mispredicted).sum::<u64>(), rep.mispredictions);
     }
 
     #[test]

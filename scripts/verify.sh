@@ -35,6 +35,14 @@ sep=$(mktemp)
 serve=$(mktemp -d)
 trap 'rm -rf "$cache" "$lint_par" "$lint_ser" "$stats" "$out" "$out2" "$obs" "$crash" "$resumed" "$sep" "$serve"' EXIT
 
+echo "== benchmark gate: perfbench builds and one profile pass runs clean"
+# perfbench is a package of its own (its own [workspace]), so the workspace
+# build above never compiles it: an API change in a crate it calls would
+# break the benchmark unseen. One short pass must report "failed": 0.
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload profile --seed 1 --seconds 1 --trace 0 > "$serve/perfbench.txt"
+tail -n 1 "$serve/perfbench.txt" | grep -q '"failed": 0'
+
 echo "== observe determinism: two telemetry runs must be byte-identical"
 cargo run -q --release --offline -p cfd-bench --bin experiments -- \
     observe soplex_ref_like --csv "$obs/a.csv" --trace-out "$obs/a.json" > "$obs/a.txt"
