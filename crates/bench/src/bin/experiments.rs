@@ -44,6 +44,11 @@
 //!                             x L1), simulate every point, and emit the
 //!                             per-point IPC/MPKI/EDP table plus the
 //!                             Pareto frontier (byte-deterministic)
+//!   experiments logcheck --log FILE
+//!                             validate a JSONL event log (schema version,
+//!                             dense sequence numbers) and print its
+//!                             wall-clock-stripped canonical form; exits 1
+//!                             on any schema violation
 //!
 //! Global options (any subcommand):
 //!   --jobs N        worker threads for simulations (default $CFD_JOBS or 1);
@@ -125,13 +130,9 @@
 //!   --preset NAME   which sweep grid to run: `default` (the flagship
 //!                   216-point grid) or `tiny` (8-point smoke grid)
 //!   --out PATH      write the report to PATH instead of stdout
-//!   --serve PATH    client mode: submit the sweep to the `cfd-serve`
-//!                   daemon listening on Unix socket PATH instead of
-//!                   simulating in-process (the report bytes are
-//!                   identical either way)
-//!   --log FILE      attach a JSONL event-log sink to the in-process
-//!                   engine (batch lifecycle events; validate with
-//!                   `cfd-serve logcheck`). File-only: stderr stays
+//!   --log FILE      attach a JSONL event-log sink to the engine (batch
+//!                   lifecycle events; validate with
+//!                   `experiments logcheck`). File-only: stderr stays
 //!                   byte-identical with and without it
 //!   --log-level L   event-log severity floor for --log (error|warn|
 //!                   info|debug|trace; default debug)
@@ -265,9 +266,10 @@ fn main() {
         );
         println!("  {:8} checkpoint-determinism sweep: straight vs quarter-point-restored runs (--scale N)", "ckpt");
         println!(
-            "  {:8} DSE sweep with IPC/MPKI/EDP Pareto frontier (--preset default|tiny --out PATH --serve SOCKET)",
+            "  {:8} DSE sweep with IPC/MPKI/EDP Pareto frontier (--preset default|tiny --out PATH --log FILE)",
             "dse"
         );
+        println!("  {:8} validate a JSONL event log and print its canonical form (--log FILE)", "logcheck");
         return;
     }
     if args[0] == "faults" {
@@ -288,6 +290,10 @@ fn main() {
     }
     if args[0] == "dse" {
         run_dse(&engine, &global, &args[1..]);
+        return;
+    }
+    if args[0] == "logcheck" {
+        run_logcheck(&args[1..]);
         return;
     }
     if args[0] == "lint" {
@@ -426,14 +432,11 @@ fn run_observe(args: &[String]) {
 }
 
 /// `experiments dse`: expand a preset grid, evaluate every point, print
-/// the per-point table and Pareto frontier. With `--serve SOCKET` the
-/// sweep runs on a `cfd-serve` daemon instead of in-process; the report
-/// bytes are identical either way.
+/// the per-point table and Pareto frontier.
 fn run_dse(engine: &Engine, global: &Global, args: &[String]) {
     use cfd_serve::SweepConfig;
     let mut preset = "default".to_string();
     let mut out_path: Option<String> = None;
-    let mut serve_socket: Option<String> = None;
     let mut log_path: Option<String> = None;
     let mut log_level = cfd_obs::Level::Debug;
     let mut it = args.iter();
@@ -447,7 +450,6 @@ fn run_dse(engine: &Engine, global: &Global, args: &[String]) {
         match a.as_str() {
             "--preset" => preset = val("--preset"),
             "--out" => out_path = Some(val("--out")),
-            "--serve" => serve_socket = Some(val("--serve")),
             "--log" => log_path = Some(val("--log")),
             "--log-level" => {
                 let v = val("--log-level");
@@ -479,13 +481,10 @@ fn run_dse(engine: &Engine, global: &Global, args: &[String]) {
     let t0 = Instant::now();
     let points = cfg.expand().map(|p| p.len()).unwrap_or(0);
     eprintln!("dse sweep: {} ({} grid points, preset `{preset}`)", cfg.describe(), points);
-    let report = match &serve_socket {
-        Some(socket) => dse_via_daemon(socket, &cfg),
-        None => cfd_serve::run_sweep(engine, &cfg).unwrap_or_else(|e| {
-            eprintln!("dse sweep failed: {e}");
-            std::process::exit(2);
-        }),
-    };
+    let report = cfd_serve::run_sweep(engine, &cfg).unwrap_or_else(|e| {
+        eprintln!("dse sweep failed: {e}");
+        std::process::exit(2);
+    });
     match &out_path {
         Some(path) => {
             if let Some(dir) = std::path::Path::new(path).parent() {
@@ -505,26 +504,28 @@ fn run_dse(engine: &Engine, global: &Global, args: &[String]) {
         None => print!("{report}"),
     }
     println!("[dse completed in {:.1}s: {points} grid points]", t0.elapsed().as_secs_f64());
-    if serve_socket.is_none() {
-        global.finish(engine);
-    }
+    global.finish(engine);
 }
 
-/// Submits the sweep to a running daemon and returns its report.
-#[cfg(unix)]
-fn dse_via_daemon(socket: &str, cfg: &cfd_serve::SweepConfig) -> String {
-    let outcome = cfd_serve::submit_and_wait(std::path::Path::new(socket), cfg).unwrap_or_else(|e| {
-        eprintln!("dse sweep failed on daemon {socket}: {e}");
-        std::process::exit(2);
+/// `experiments logcheck --log FILE`: validate a JSONL event log and print
+/// its wall-clock-stripped canonical form (the surface verify.sh `cmp`s).
+fn run_logcheck(args: &[String]) {
+    let path = match args {
+        [flag, path] if flag == "--log" => path,
+        _ => {
+            eprintln!("usage: experiments logcheck --log FILE");
+            std::process::exit(1);
+        }
+    };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
     });
-    eprintln!("{}", cfd_serve::outcome_line(&outcome));
-    outcome.report
-}
-
-#[cfg(not(unix))]
-fn dse_via_daemon(_socket: &str, _cfg: &cfd_serve::SweepConfig) -> String {
-    eprintln!("--serve requires Unix-domain sockets; run without --serve on this platform");
-    std::process::exit(1);
+    let canonical = cfd_serve::check_log(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1);
+    });
+    print!("{canonical}");
 }
 
 fn run_simperf(args: &[String]) {

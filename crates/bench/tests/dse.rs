@@ -1,5 +1,6 @@
 //! `experiments dse` integration: the tiny grid end-to-end (deterministic
-//! across worker counts, structurally sound) and structural checks on the
+//! across worker counts, structurally sound, replayed from a warm cache
+//! without re-executing) and structural checks on the
 //! checked-in flagship fixture — parsed and re-analyzed, never
 //! re-simulated (the 216-point grid is release-binary work; verify.sh
 //! regenerates it and `cmp`s the bytes).
@@ -24,6 +25,27 @@ fn tiny_sweep_report_is_deterministic_and_structured() {
     assert_eq!(table.len(), points);
     assert!(!front.is_empty(), "a finite sweep always has a frontier");
     assert!(front.len() <= table.len());
+}
+
+/// A sweep re-run on a warm cache re-executes nothing: a fresh engine on
+/// the same cache directory serves every point from disk and renders the
+/// same bytes.
+#[test]
+fn warm_cache_replay_executes_nothing() {
+    let dir = std::env::temp_dir().join(format!("cfd-dse-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = || Engine::new(ExecConfig { jobs: 2, cache_dir: dir.clone(), ..ExecConfig::default() });
+    let cfg = SweepConfig::preset_tiny();
+
+    let cold = run_sweep(&cached(), &cfg).unwrap();
+    let warm_engine = cached();
+    let warm = run_sweep(&warm_engine, &cfg).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(warm, cold, "warm replay must be byte-identical to the cold run");
+    let stats = warm_engine.stats();
+    assert_eq!(stats.executed, 0, "warm replay re-executed points");
+    assert_eq!(stats.cache_hits, 8, "every tiny-grid point comes from the cache");
 }
 
 /// The flagship fixture holds the contract the issue names: >= 200 grid

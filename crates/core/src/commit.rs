@@ -10,7 +10,6 @@
 
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::{FaultHost, MemoryHost, TelemetryHost};
 use crate::pipeline::{DynInst, Pipeline};
 use crate::rename::join_taint;
 use crate::stats::level_index;

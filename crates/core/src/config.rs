@@ -168,7 +168,7 @@ impl CoreConfig {
     /// Design-space axis: front-end/retire width and issue width. The
     /// execution-port mix scales with the issue width so a wide config is
     /// not silently port-starved (DSE sweeps vary this axis; see
-    /// `cfd-serve`).
+    /// `cfd_serve::SweepConfig`).
     pub fn with_widths(mut self, width: usize, issue_width: usize) -> Self {
         self.width = width.max(1);
         self.issue_width = issue_width.max(self.width);

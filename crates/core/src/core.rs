@@ -36,7 +36,7 @@
 
 use crate::config::CoreConfig;
 use crate::fault::{FailureReport, FaultSpec};
-use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, TelemetryHost, TelemetryPort};
+use crate::host::{ControlPort, FaultPort, TelemetryPort};
 use crate::kernel::{KernelEvent, NullClock};
 use crate::pipeline::Pipeline;
 use crate::stats::RunReport;

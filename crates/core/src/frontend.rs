@@ -13,7 +13,6 @@
 use crate::cfd_queues::{FetchBq, FetchTq};
 use crate::config::{BqMissPolicy, CheckpointPolicy};
 use crate::core::CoreError;
-use crate::host::MemoryHost;
 use crate::pipeline::{DynInst, Pipeline, Snapshot};
 use crate::rename::VqRenamer;
 use cfd_isa::Instr;

@@ -5,17 +5,16 @@
 //! [`dispatch`](crate::dispatch), [`scheduler`](crate::scheduler),
 //! [`lsq`](crate::lsq), [`commit`](crate::commit)) never touch the cache
 //! hierarchy, cfd-obs telemetry, fault injection, or cancellation tokens
-//! directly. Each capability sits behind a narrow trait —
-//! [`MemoryHost`], [`TelemetryHost`], [`FaultHost`], [`ControlHost`] —
-//! implemented by a *port* struct whose internals are private to this
-//! module, so the only operations a stage can perform are the trait
-//! methods. That makes the kernel's external surface auditable by reading
-//! four trait definitions, and it is what lets the kernel be checkpointed,
-//! resumed, and re-hosted (sampled simulation, future multi-core) without
-//! touching stage code.
+//! directly. Each capability sits behind a *port* struct —
+//! [`MemoryPort`], [`TelemetryPort`], [`FaultPort`], [`ControlPort`] —
+//! whose fields are private to this module, so the only operations a
+//! stage can perform are the port's `pub(crate)` methods. That makes the
+//! kernel's external surface auditable by reading this one file, and it
+//! is what lets the kernel be checkpointed, resumed, and re-hosted
+//! (sampled simulation) without touching stage code.
 //!
 //! Every port has a **null state** (telemetry unarmed, no fault armed, no
-//! cancel token) whose trait methods reduce to an `Option` check — the
+//! cancel token) whose methods reduce to an `Option` check — the
 //! same cost the pre-refactor field tests paid, so a run with null hosts
 //! is as fast as the old direct-field code. `scripts/verify.sh` holds this
 //! to a hard simperf KIPS floor.
@@ -29,28 +28,11 @@ use cfd_obs::{ArgValue, MetricsRegistry, TelemetryConfig, TelemetryReport, TimeS
 // Memory
 // ----------------------------------------------------------------------
 
-/// The kernel's only route to the cache hierarchy and the L1I tags.
+/// The kernel's only route to the memory system: a three-level data
+/// hierarchy plus L1I tags.
 ///
 /// Simulated data and instruction accesses, end-of-run drain, and the
 /// read-only statistics views the report builder needs.
-pub trait MemoryHost {
-    /// Data-side access (loads, prefetches, retiring stores) at `addr`,
-    /// attributed to the instruction at byte-PC `pc`.
-    fn data_access(&mut self, pc: u64, addr: u64, write: bool, now: u64) -> AccessResult;
-    /// Instruction-side probe at byte-PC `pc`: true on an L1I hit. A miss
-    /// fills the line (the bubble cost is the caller's to model).
-    fn fetch_probe(&mut self, pc: u64) -> bool;
-    /// Drains in-flight miss state up to `now` (end of run).
-    fn advance(&mut self, now: u64);
-    /// Per-level (L1D, L2, L3) access/hit counters.
-    fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats);
-    /// MSHR occupancy histogram (index = occupancy at allocation time).
-    fn mshr_histogram(&self) -> &[u64];
-    /// Demand accesses that reached each level (L1, L2, L3, DRAM).
-    fn level_counts(&self) -> [u64; 4];
-}
-
-/// The built-in memory port: a three-level data hierarchy plus L1I tags.
 #[derive(Debug, Clone)]
 pub(crate) struct MemoryPort {
     hier: Hierarchy,
@@ -66,16 +48,18 @@ impl MemoryPort {
             icache: Cache::new(CacheConfig { size_bytes: 32 * 1024, ways: 8, block_bits: 6 }),
         }
     }
-}
 
-impl MemoryHost for MemoryPort {
+    /// Data-side access (loads, prefetches, retiring stores) at `addr`,
+    /// attributed to the instruction at byte-PC `pc`.
     #[inline]
-    fn data_access(&mut self, pc: u64, addr: u64, write: bool, now: u64) -> AccessResult {
+    pub(crate) fn data_access(&mut self, pc: u64, addr: u64, write: bool, now: u64) -> AccessResult {
         self.hier.access(pc, addr, write, now)
     }
 
+    /// Instruction-side probe at byte-PC `pc`: true on an L1I hit. A miss
+    /// fills the line (the bubble cost is the caller's to model).
     #[inline]
-    fn fetch_probe(&mut self, pc: u64) -> bool {
+    pub(crate) fn fetch_probe(&mut self, pc: u64) -> bool {
         if self.icache.access(pc, false) {
             true
         } else {
@@ -84,19 +68,23 @@ impl MemoryHost for MemoryPort {
         }
     }
 
-    fn advance(&mut self, now: u64) {
+    /// Drains in-flight miss state up to `now` (end of run).
+    pub(crate) fn advance(&mut self, now: u64) {
         self.hier.advance(now);
     }
 
-    fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
+    /// Per-level (L1D, L2, L3) access/hit counters.
+    pub(crate) fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         self.hier.cache_stats()
     }
 
-    fn mshr_histogram(&self) -> &[u64] {
+    /// MSHR occupancy histogram (index = occupancy at allocation time).
+    pub(crate) fn mshr_histogram(&self) -> &[u64] {
         self.hier.mshr_histogram()
     }
 
-    fn level_counts(&self) -> [u64; 4] {
+    /// Demand accesses that reached each level (L1, L2, L3, DRAM).
+    pub(crate) fn level_counts(&self) -> [u64; 4] {
         self.hier.level_counts
     }
 }
@@ -164,40 +152,12 @@ impl TelemetryState {
 }
 
 /// The kernel's only route to cfd-obs: metrics, interval time-series
-/// sampling, and the pipeline event trace.
+/// sampling, and the pipeline event trace. Null until armed.
 ///
 /// Telemetry only observes microarchitectural state — no method feeds back
 /// into simulated timing, so every report field outside
 /// [`RunReport::telemetry`](crate::RunReport::telemetry) is byte-identical
 /// whether or not the port is armed.
-pub trait TelemetryHost {
-    /// Whether telemetry is armed at all (the null port answers false).
-    fn armed(&self) -> bool;
-    /// Adds `n` to a named monotonic counter.
-    fn counter_add(&mut self, name: &'static str, n: u64);
-    /// Sets a named gauge (its high-water mark is tracked).
-    fn gauge_set(&mut self, name: &'static str, v: u64);
-    /// Records one observation into a named histogram.
-    fn histogram_record(&mut self, name: &'static str, v: u64);
-    /// Emits an instant event into the pipeline trace.
-    fn trace_instant(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>);
-    /// Emits a counter sample into the pipeline trace.
-    fn trace_counter(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>);
-    /// Whether the event trace is collecting (cheaper than building args).
-    fn trace_enabled(&self) -> bool;
-    /// Whether a time-series row is due at `cycle` (or `force`d).
-    fn sample_due(&self, cycle: u64, force: bool) -> bool;
-    /// Pushes one time-series row stamped `cycle` and advances the
-    /// sampling clock past it.
-    fn record_sample(&mut self, cycle: u64, row: Vec<u64>);
-    /// Whether the end-of-run row at `cycle` still needs to be pushed.
-    fn needs_final_sample(&self, cycle: u64) -> bool;
-    /// Detaches the collected artifacts (report finalization); the port
-    /// reverts to null.
-    fn take_report(&mut self) -> Option<TelemetryReport>;
-}
-
-/// The built-in telemetry port; null until armed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TelemetryPort {
     state: Option<Box<TelemetryState>>,
@@ -211,57 +171,77 @@ impl TelemetryPort {
     pub(crate) fn armed_with(cfg: TelemetryConfig) -> TelemetryPort {
         TelemetryPort { state: Some(Box::new(TelemetryState::new(cfg))) }
     }
-}
 
-impl TelemetryHost for TelemetryPort {
+    /// Whether telemetry is armed at all (the null port answers false).
     #[inline]
-    fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         self.state.is_some()
     }
 
-    fn counter_add(&mut self, name: &'static str, n: u64) {
+    /// Adds `n` to a named monotonic counter.
+    pub(crate) fn counter_add(&mut self, name: &'static str, n: u64) {
         if let Some(t) = &mut self.state {
             t.registry.counter_add(name, n);
         }
     }
 
-    fn gauge_set(&mut self, name: &'static str, v: u64) {
+    /// Sets a named gauge (its high-water mark is tracked).
+    pub(crate) fn gauge_set(&mut self, name: &'static str, v: u64) {
         if let Some(t) = &mut self.state {
             t.registry.gauge_set(name, v);
         }
     }
 
-    fn histogram_record(&mut self, name: &'static str, v: u64) {
+    /// Records one observation into a named histogram.
+    pub(crate) fn histogram_record(&mut self, name: &'static str, v: u64) {
         if let Some(t) = &mut self.state {
             t.registry.histogram_record(name, v);
         }
     }
 
-    fn trace_instant(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>) {
+    /// Emits an instant event into the pipeline trace.
+    pub(crate) fn trace_instant(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        ts: u64,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
         if let Some(t) = &mut self.state {
             t.trace.instant(name, cat, ts, 0, 0, args);
         }
     }
 
-    fn trace_counter(&mut self, name: &'static str, cat: &'static str, ts: u64, args: Vec<(&'static str, ArgValue)>) {
+    /// Emits a counter sample into the pipeline trace.
+    pub(crate) fn trace_counter(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        ts: u64,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
         if let Some(t) = &mut self.state {
             t.trace.counter(name, cat, ts, 0, args);
         }
     }
 
-    fn trace_enabled(&self) -> bool {
+    /// Whether the event trace is collecting (cheaper than building args).
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.state.as_ref().is_some_and(|t| t.trace.is_enabled())
     }
 
+    /// Whether a time-series row is due at `cycle` (or `force`d).
     #[inline]
-    fn sample_due(&self, cycle: u64, force: bool) -> bool {
+    pub(crate) fn sample_due(&self, cycle: u64, force: bool) -> bool {
         match &self.state {
             Some(t) => t.cfg.sample_interval > 0 && (force || cycle >= t.next_sample),
             None => false,
         }
     }
 
-    fn record_sample(&mut self, cycle: u64, row: Vec<u64>) {
+    /// Pushes one time-series row stamped `cycle` and advances the
+    /// sampling clock past it.
+    pub(crate) fn record_sample(&mut self, cycle: u64, row: Vec<u64>) {
         let Some(t) = &mut self.state else { return };
         t.series.push_row(row);
         let step = t.cfg.sample_interval.max(1);
@@ -270,14 +250,17 @@ impl TelemetryHost for TelemetryPort {
         }
     }
 
-    fn needs_final_sample(&self, cycle: u64) -> bool {
+    /// Whether the end-of-run row at `cycle` still needs to be pushed.
+    pub(crate) fn needs_final_sample(&self, cycle: u64) -> bool {
         match &self.state {
             Some(t) => t.cfg.sample_interval > 0 && t.series.rows.last().is_none_or(|r| r[0] != cycle),
             None => false,
         }
     }
 
-    fn take_report(&mut self) -> Option<TelemetryReport> {
+    /// Detaches the collected artifacts (report finalization); the port
+    /// reverts to null.
+    pub(crate) fn take_report(&mut self) -> Option<TelemetryReport> {
         self.state.take().map(|t| TelemetryReport { registry: t.registry, series: t.series, trace: t.trace })
     }
 }
@@ -287,20 +270,7 @@ impl TelemetryHost for TelemetryPort {
 // ----------------------------------------------------------------------
 
 /// The kernel's only route to the deterministic fault injector
-/// (see [`crate::fault`]).
-pub trait FaultHost {
-    /// Visits an injection site on cycle `now`; returns the armed fault's
-    /// kind exactly once, at its `nth` visit.
-    fn visit(&mut self, site: FaultSite, now: u64) -> Option<FaultKind>;
-    /// Whether the armed fault has fired by now (recovery attribution).
-    fn has_fired(&self) -> bool;
-    /// The injection record, once fired.
-    fn fired_record(&self) -> Option<InjectionRecord>;
-    /// Whether a fault is armed at all (the null port answers false).
-    fn armed(&self) -> bool;
-}
-
-/// The built-in fault port; null until armed.
+/// (see [`crate::fault`]); null until armed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultPort {
     state: Option<FaultState>,
@@ -314,24 +284,27 @@ impl FaultPort {
     pub(crate) fn armed_with(spec: FaultSpec) -> FaultPort {
         FaultPort { state: Some(FaultState::new(spec)) }
     }
-}
 
-impl FaultHost for FaultPort {
+    /// Visits an injection site on cycle `now`; returns the armed fault's
+    /// kind exactly once, at its `nth` visit.
     #[inline]
-    fn visit(&mut self, site: FaultSite, now: u64) -> Option<FaultKind> {
+    pub(crate) fn visit(&mut self, site: FaultSite, now: u64) -> Option<FaultKind> {
         self.state.as_mut()?.visit(site, now)
     }
 
-    fn has_fired(&self) -> bool {
+    /// Whether the armed fault has fired by now (recovery attribution).
+    pub(crate) fn has_fired(&self) -> bool {
         self.state.as_ref().is_some_and(|f| f.fired().is_some())
     }
 
-    fn fired_record(&self) -> Option<InjectionRecord> {
+    /// The injection record, once fired.
+    pub(crate) fn fired_record(&self) -> Option<InjectionRecord> {
         self.state.as_ref().and_then(|f| f.fired().cloned())
     }
 
+    /// Whether a fault is armed at all (the null port answers false).
     #[inline]
-    fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         self.state.is_some()
     }
 }
@@ -341,15 +314,8 @@ impl FaultHost for FaultPort {
 // ----------------------------------------------------------------------
 
 /// The kernel's only route to its supervisor: the per-cycle progress
-/// heartbeat and cooperative cancellation.
-pub trait ControlHost {
-    /// Called once per cycle before the stages run: publishes `cycle` as
-    /// the progress heartbeat, then trips [`CoreError::Cancelled`] when
-    /// the cycle budget is exhausted or an external cancel was requested.
-    fn poll(&mut self, cycle: u64) -> Result<(), CoreError>;
-}
-
-/// The built-in control port; null (free) until a token is engaged.
+/// heartbeat and cooperative cancellation. Null (free) until a token is
+/// engaged.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ControlPort {
     token: Option<CancelToken>,
@@ -363,11 +329,12 @@ impl ControlPort {
     pub(crate) fn engaged(token: CancelToken) -> ControlPort {
         ControlPort { token: Some(token) }
     }
-}
 
-impl ControlHost for ControlPort {
+    /// Called once per cycle before the stages run: publishes `cycle` as
+    /// the progress heartbeat, then trips [`CoreError::Cancelled`] when
+    /// the cycle budget is exhausted or an external cancel was requested.
     #[inline]
-    fn poll(&mut self, cycle: u64) -> Result<(), CoreError> {
+    pub(crate) fn poll(&mut self, cycle: u64) -> Result<(), CoreError> {
         let Some(tok) = &self.token else { return Ok(()) };
         // Publish progress before checking: a supervisor that sees a stale
         // heartbeat knows the loop itself stopped turning.

@@ -25,7 +25,6 @@
 
 use crate::core::{Core, CoreError};
 use crate::fault::InjectionRecord;
-use crate::host::ControlHost;
 use crate::pipeline::Pipeline;
 
 /// A structured event yielded by the kernel's step loop.

@@ -71,7 +71,6 @@ pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use config::{BqMissPolicy, CheckpointPolicy, CoreConfig, PerfectMode};
 pub use fault::{FailureReport, FaultKind, FaultSite, FaultSpec, InjectionRecord};
-pub use host::{ControlHost, FaultHost, MemoryHost, TelemetryHost};
 pub use kernel::{KernelEvent, YieldPolicy};
 pub use rename::{join_taint, PhysReg, RenameState, Taint, VqRenamer, VqSnapshot};
 pub use sampled::{run_sampled, SampleConfig, SampledReport};

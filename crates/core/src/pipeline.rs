@@ -18,7 +18,7 @@ use crate::cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
 use crate::config::CoreConfig;
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::{ControlPort, FaultHost, FaultPort, MemoryHost, MemoryPort, TelemetryHost, TelemetryPort};
+use crate::host::{ControlPort, FaultPort, MemoryPort, TelemetryPort};
 use crate::kernel::{KernelEvent, YieldPolicy};
 use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
 use crate::scheduler::{EventRing, ReadySet};
@@ -241,7 +241,7 @@ pub(crate) struct Pipeline {
     pub(crate) lsq_count: usize,
     pub(crate) checkpoints_free: usize,
     /// Memory host: the data hierarchy and L1I tags, behind
-    /// [`MemoryHost`].
+    /// [`MemoryPort`].
     pub(crate) mem: MemoryPort,
     pub(crate) now: u64,
     pub(crate) next_seq: u64,
@@ -252,12 +252,11 @@ pub(crate) struct Pipeline {
     pub(crate) stats: CoreStats,
     pub(crate) events: EventCounts,
     pub(crate) pipe_trace: Option<PipeTrace>,
-    /// Fault host: the deterministic injector, behind [`FaultHost`]; null
+    /// Fault host: the deterministic injector, behind [`FaultPort`]; null
     /// unless armed (see [`crate::fault`]).
     pub(crate) fault: FaultPort,
     /// Control host: progress heartbeat + cooperative cancellation, behind
-    /// [`ControlHost`](crate::host::ControlHost); polled once per cycle by
-    /// the step loop.
+    /// [`ControlPort`]; polled once per cycle by the step loop.
     pub(crate) control: ControlPort,
     /// Post-mortem snapshot ring (empty unless `post_mortem_depth > 0`).
     pub(crate) snap_ring: SnapRing,
@@ -267,7 +266,7 @@ pub(crate) struct Pipeline {
     /// A recovery squashed the ROB and the corrected path has not reached
     /// dispatch yet: empty-ROB cycles are misprediction penalty.
     pub(crate) refill_after_recovery: bool,
-    /// Telemetry host: registry/series/trace, behind [`TelemetryHost`];
+    /// Telemetry host: registry/series/trace, behind [`TelemetryPort`];
     /// null unless armed.
     pub(crate) telem: TelemetryPort,
     // Host-side scheduler-efficiency counters (never affect simulation).

@@ -28,7 +28,7 @@
 
 use crate::config::CoreConfig;
 use crate::core::CoreError;
-use crate::host::{MemoryHost, MemoryPort};
+use crate::host::MemoryPort;
 use crate::kernel::NullClock;
 use crate::pipeline::Pipeline;
 use cfd_isa::{Machine, MemImage, Program, QueueConfig, Reg, RetireEvent};

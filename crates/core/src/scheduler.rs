@@ -26,7 +26,6 @@
 //! buckets keyed by each instruction's `ready_at`.
 
 use crate::fault::{FaultKind, FaultSite};
-use crate::host::MemoryHost;
 use crate::lsq::ForwardState;
 use crate::pipeline::{extract, Pipeline};
 use crate::rename::join_taint;

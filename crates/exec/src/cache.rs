@@ -312,40 +312,6 @@ impl DiskCache {
         out.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
         out
     }
-
-    /// Counts quarantined entries: `(files, total bytes)`.
-    pub fn quarantine_usage(&self) -> (u64, u64) {
-        let (mut files, mut bytes) = (0u64, 0u64);
-        if let Ok(rd) = fs::read_dir(self.quarantine_dir()) {
-            for de in rd.flatten() {
-                if de.path().is_file() {
-                    files += 1;
-                    bytes += de.metadata().map(|m| m.len()).unwrap_or(0);
-                }
-            }
-        }
-        (files, bytes)
-    }
-
-    /// Deletes every quarantined entry (they exist only for post-mortem
-    /// inspection; the live slots they came from have already re-executed
-    /// and healed). Returns `(files removed, bytes freed)`.
-    pub fn gc_quarantine(&self) -> (u64, u64) {
-        let (mut files, mut bytes) = (0u64, 0u64);
-        if let Ok(rd) = fs::read_dir(self.quarantine_dir()) {
-            for de in rd.flatten() {
-                let path = de.path();
-                if path.is_file() {
-                    let len = de.metadata().map(|m| m.len()).unwrap_or(0);
-                    if fs::remove_file(&path).is_ok() {
-                        files += 1;
-                        bytes += len;
-                    }
-                }
-            }
-        }
-        (files, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -485,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_lists_live_entries_and_gc_clears_quarantine() {
+    fn scan_lists_live_entries_not_quarantine() {
         let dir = temp_dir("scan");
         let cache = DiskCache::new(&dir);
         cache.store("sim", Fingerprint(1, 2), "a", r#"{"v":1}"#).unwrap();
@@ -502,14 +468,6 @@ mod tests {
         assert!(kinds.contains(&"sim") && kinds.contains(&"lint"));
         assert!(entries.iter().all(|e| e.bytes > 0));
 
-        let (qfiles, qbytes) = cache.quarantine_usage();
-        assert_eq!(qfiles, 1);
-        assert!(qbytes > 0);
-        let (removed, freed) = cache.gc_quarantine();
-        assert_eq!((removed, freed), (qfiles, qbytes));
-        assert_eq!(cache.quarantine_usage(), (0, 0));
-        // Live entries survive the GC.
-        assert_eq!(cache.scan().len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

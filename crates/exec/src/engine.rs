@@ -196,49 +196,6 @@ pub struct ExecStats {
     pub quarantined: u64,
 }
 
-/// A monotonic snapshot of one [`Engine::run_all`] batch in flight,
-/// delivered through the callback installed with
-/// [`Engine::set_progress`].
-///
-/// `done` counts jobs whose slot result is final: cache hits and
-/// ledger-quarantined skips at probe time, successes as workers finish,
-/// failures once their last retry is spent, and folded duplicates at
-/// the end (so the last snapshot always reports `done == total`).
-/// Within one batch, consecutive snapshots observed through the
-/// callback never decrease any counter — the callback is invoked under
-/// the progress lock, so observers see a strictly ordered sequence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchProgress {
-    /// Jobs submitted to this batch (including duplicates).
-    pub total: u64,
-    /// Jobs whose result is final.
-    pub done: u64,
-    /// Successful executions so far.
-    pub executed: u64,
-    /// Results served from the cache at probe time.
-    pub cache_hits: u64,
-    /// Jobs finally failed (panic/timeout past the last retry, or
-    /// skipped via the quarantine ledger).
-    pub failed: u64,
-    /// Current retry wave (0 = first attempts).
-    pub wave: u64,
-}
-
-/// Callback type for [`Engine::set_progress`]. Invoked from worker
-/// threads and the engine's serial sections; must not call back into
-/// the engine.
-pub type ProgressFn = dyn Fn(BatchProgress) + Send + Sync;
-
-/// Applies `f` to the shared progress snapshot and reports it while
-/// still holding the lock, so observers see monotonic snapshots.
-fn advance(progress: &Mutex<BatchProgress>, cb: &Option<Arc<ProgressFn>>, f: impl FnOnce(&mut BatchProgress)) {
-    let mut p = progress.lock().expect("progress lock poisoned");
-    f(&mut p);
-    if let Some(cb) = cb {
-        cb(*p);
-    }
-}
-
 /// How a job's slot was filled, for the trace.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum JobOutcome {
@@ -282,7 +239,6 @@ pub struct Engine {
     cfg: ExecConfig,
     cache: Option<DiskCache>,
     telemetry: Mutex<EngineTelemetry>,
-    progress: Mutex<Option<Arc<ProgressFn>>>,
     log: Mutex<Option<Arc<EventLog>>>,
 }
 
@@ -306,17 +262,8 @@ impl Engine {
                 trace: TraceLog::enabled(),
                 clock: 0,
             }),
-            progress: Mutex::new(None),
             log: Mutex::new(None),
         }
-    }
-
-    /// Installs (or clears) the batch progress callback. The callback is
-    /// read once at the start of each [`Engine::run_all`] batch and then
-    /// invoked from worker threads as slots finalize; see
-    /// [`BatchProgress`] for the monotonicity contract.
-    pub fn set_progress(&self, cb: Option<Arc<ProgressFn>>) {
-        *self.progress.lock().expect("progress lock poisoned") = cb;
     }
 
     /// Attaches (or detaches) a structured event log. The engine emits
@@ -453,9 +400,7 @@ impl Engine {
         let n = jobs.len();
         let policy = self.cfg.policy;
         let mut batch = ExecStats { submitted: n as u64, ..ExecStats::default() };
-        let progress_cb = self.progress.lock().expect("progress lock poisoned").clone();
         let log = self.log.lock().expect("log lock poisoned").clone();
-        let progress = Mutex::new(BatchProgress { total: n as u64, ..BatchProgress::default() });
 
         let fps: Vec<Fingerprint> = jobs.iter().map(|j| j.fingerprint()).collect();
         let (journal, replay) = self.open_journal(&fps);
@@ -535,11 +480,6 @@ impl Engine {
                 ],
             );
         }
-        advance(&progress, &progress_cb, |p| {
-            p.done = (owner.len() - to_run.len()) as u64;
-            p.cache_hits = batch.cache_hits;
-            p.failed = batch.quarantined;
-        });
 
         if let Some(j) = &journal {
             for &i in &to_run {
@@ -563,7 +503,6 @@ impl Engine {
         let mut wave_no: u64 = 0;
         let final_failed: Vec<usize> = loop {
             let attempt = wave_no + 1;
-            let last_attempt = wave_no >= policy.max_retries;
             let outcomes = pool::run_indexed(self.cfg.jobs, wave.len(), |k| {
                 let i = wave[k];
                 if let Some(j) = &journal {
@@ -593,10 +532,6 @@ impl Engine {
                         if let Some(j) = &journal {
                             let _ = j.append(&JournalRecord::Done { index: i as u64, fp: fps[i].hex() });
                         }
-                        advance(&progress, &progress_cb, |p| {
-                            p.done += 1;
-                            p.executed += 1;
-                        });
                         Ok(out)
                     }
                     Err(msg) => {
@@ -604,14 +539,6 @@ impl Engine {
                             let class = if parse_timeout_panic(&msg).is_some() { "timeout" } else { "panic" };
                             let _ =
                                 j.append(&JournalRecord::Failed { index: i as u64, class: class.to_string(), attempt });
-                        }
-                        // A failure only finalizes the slot when no retry
-                        // wave can still rescue it.
-                        if last_attempt {
-                            advance(&progress, &progress_cb, |p| {
-                                p.done += 1;
-                                p.failed += 1;
-                            });
                         }
                         Err(msg)
                     }
@@ -662,7 +589,6 @@ impl Engine {
             if let Some(l) = &log {
                 l.info("cfd-exec", "retry_wave", &[("wave", wave_no.into()), ("jobs", (wave.len() as u64).into())]);
             }
-            advance(&progress, &progress_cb, |p| p.wave = wave_no);
         };
 
         for &i in &final_failed {
@@ -709,12 +635,6 @@ impl Engine {
                 ],
             );
         }
-        // Final snapshot: duplicates are folded, so every slot is final.
-        advance(&progress, &progress_cb, |p| {
-            p.done = n as u64;
-            p.executed = batch.executed;
-            p.cache_hits = batch.cache_hits;
-        });
 
         // Land the batch in one locked section: counters first, then one
         // trace record per job in *submission* order on the logical
@@ -884,9 +804,9 @@ mod tests {
 
     #[test]
     fn stats_accumulate_across_batches() {
-        // The daemon keeps one engine alive across many sweeps; its
-        // counters are the store-lifetime record and must accumulate, not
-        // reset, between run_all calls.
+        // `experiments all` runs many batches on one engine and prints
+        // one stats line, so the counters must accumulate, not reset,
+        // between run_all calls.
         let eng = Engine::serial();
         let _ = eng.run_all(&squares(&[1, 2], 7));
         let _ = eng.run_all(&squares(&[3, 3, 13], 7));
@@ -929,33 +849,6 @@ mod tests {
         assert_eq!(m1, m4, "metrics must not depend on worker count");
         assert!(t1.contains("\"name\":\"queue_wait\""));
         assert!(t1.contains("\"outcome\":\"deduped\""));
-    }
-
-    #[test]
-    fn progress_snapshots_are_monotonic_and_final_matches_stats() {
-        for jobs in [1usize, 4] {
-            let eng = Engine::new(ExecConfig { jobs, use_cache: false, ..ExecConfig::default() });
-            let seen: Arc<Mutex<Vec<BatchProgress>>> = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&seen);
-            eng.set_progress(Some(Arc::new(move |p: BatchProgress| {
-                sink.lock().unwrap().push(p);
-            })));
-            let _ = eng.run_all(&squares(&[1, 2, 3, 3, 13, 5], 31));
-            let snaps = seen.lock().unwrap();
-            assert!(!snaps.is_empty());
-            for w in snaps.windows(2) {
-                assert!(w[1].done >= w[0].done, "done regressed: {:?} -> {:?}", w[0], w[1]);
-                assert!(w[1].executed >= w[0].executed, "executed regressed");
-                assert!(w[1].failed >= w[0].failed, "failed regressed");
-            }
-            let last = *snaps.last().unwrap();
-            let s = eng.stats();
-            assert_eq!(last.total, 6);
-            assert_eq!(last.done, last.total, "final snapshot covers every slot");
-            assert_eq!(last.executed, s.executed);
-            assert_eq!(last.cache_hits, s.cache_hits);
-            assert_eq!(last.failed, s.failed, "13 panics with no retries");
-        }
     }
 
     #[test]

@@ -97,9 +97,8 @@ impl Hasher {
 /// The campaign fingerprint: a fold over every job fingerprint in
 /// submission order.
 ///
-/// This names the write-ahead journal (`<cache>/journal/<hex>.wal`) and
-/// identifies a sweep to the `cfd-serve` daemon, so a re-submitted
-/// campaign with identical inputs maps onto the same journal/sweep and a
+/// This names the write-ahead journal (`<cache>/journal/<hex>.wal`), so a
+/// re-run campaign with identical inputs maps onto the same journal and a
 /// changed campaign never collides with a stale one. The fold is
 /// order-sensitive on purpose: result slots are positional.
 pub fn campaign_fingerprint(fps: &[Fingerprint]) -> Fingerprint {

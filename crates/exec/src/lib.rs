@@ -44,7 +44,7 @@ mod sim;
 
 pub use cache::{CacheEntryInfo, CacheError, CacheLoad, DiskCache, CACHE_VERSION};
 pub use chaos::{InjectedIoFault, IoFaultKind, IoFaultShim};
-pub use engine::{BatchProgress, CampaignJob, Engine, ExecConfig, ExecStats, JobError, ProgressFn};
+pub use engine::{CampaignJob, Engine, ExecConfig, ExecStats, JobError};
 pub use fingerprint::{campaign_fingerprint, Fingerprint, Hasher};
 pub use journal::{Journal, JournalRecord, Replay};
 pub use json::Json;

@@ -16,7 +16,7 @@
 //! * [`TimeSeries`] — interval samples of cumulative integer counters,
 //!   exported as CSV ([`TimeSeries::to_csv`]) or an ASCII occupancy/IPC
 //!   timeline ([`TimeSeries::ascii_timeline`]).
-//! * [`EventLog`] — a leveled operational event log (JSONL / stderr /
+//! * [`EventLog`] — a leveled operational event log (JSONL file /
 //!   memory sinks) whose logical sequence numbers — not wall time — are
 //!   the determinism surface; see [`log`].
 //! * [`TraceLog`] — a structured span/event tracer exporting

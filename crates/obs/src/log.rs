@@ -1,9 +1,8 @@
 //! Leveled, structured operational event log.
 //!
 //! Unlike [`TraceLog`](crate::TraceLog), which records *simulated* time
-//! for Perfetto, this module records *operational* events — a daemon
-//! accepting a connection, an engine starting a retry wave — as
-//! key=value records with:
+//! for Perfetto, this module records *operational* events — an engine
+//! starting a batch or a retry wave — as key=value records with:
 //!
 //! * a severity [`Level`] filter fixed at construction,
 //! * a **logical sequence number** per emitted record (dense, starting
@@ -14,9 +13,9 @@
 //!   comparison across runs and worker counts is possible,
 //! * span `begin`/`end` records correlated by a `span_id`.
 //!
-//! Three sinks can be armed in any combination: a JSONL file (one
-//! versioned-schema object per line), human-readable stderr lines
-//! (`[target] event k=v ...`), and an in-memory JSONL buffer for tests.
+//! Two sinks can be armed in any combination: a JSONL file (one
+//! versioned-schema object per line) and an in-memory JSONL buffer for
+//! tests.
 //! Events below the configured level are dropped *without* consuming a
 //! sequence number, so the emitted stream stays dense at every level.
 
@@ -89,11 +88,10 @@ struct Inner {
     seq: u64,
     next_span: u64,
     file: Option<File>,
-    stderr: bool,
     memory: Option<String>,
 }
 
-/// A leveled structured logger with JSONL/stderr/memory sinks.
+/// A leveled structured logger with JSONL file/memory sinks.
 ///
 /// Cheap to share behind an `Arc`; all sinks are guarded by one
 /// internal mutex so records from concurrent threads interleave at
@@ -112,13 +110,7 @@ impl fmt::Debug for EventLog {
 impl EventLog {
     /// A logger with no sinks armed; every record is dropped.
     pub fn new(level: Level) -> EventLog {
-        EventLog { level, inner: Mutex::new(Inner { seq: 0, next_span: 1, file: None, stderr: false, memory: None }) }
-    }
-
-    /// Arms human-readable stderr lines (`[target] event k=v ...`).
-    pub fn with_stderr(self) -> EventLog {
-        self.inner.lock().unwrap().stderr = true;
-        self
+        EventLog { level, inner: Mutex::new(Inner { seq: 0, next_span: 1, file: None, memory: None }) }
     }
 
     /// Arms a JSONL file sink at `path` (truncating any existing file).
@@ -217,23 +209,18 @@ impl EventLog {
         }
         let wall_us = wall_clock_us();
         let mut inner = self.inner.lock().unwrap();
-        if inner.file.is_none() && !inner.stderr && inner.memory.is_none() {
+        if inner.file.is_none() && inner.memory.is_none() {
             return;
         }
         let seq = inner.seq;
         inner.seq += 1;
-        if inner.file.is_some() || inner.memory.is_some() {
-            let line = render_jsonl(seq, level, target, event, span, span_id, fields, wall_us);
-            if let Some(f) = inner.file.as_mut() {
-                let _ = f.write_all(line.as_bytes());
-                let _ = f.flush();
-            }
-            if let Some(m) = inner.memory.as_mut() {
-                m.push_str(&line);
-            }
+        let line = render_jsonl(seq, level, target, event, span, span_id, fields, wall_us);
+        if let Some(f) = inner.file.as_mut() {
+            let _ = f.write_all(line.as_bytes());
+            let _ = f.flush();
         }
-        if inner.stderr {
-            eprintln!("{}", render_human(level, target, event, span, span_id, fields));
+        if let Some(m) = inner.memory.as_mut() {
+            m.push_str(&line);
         }
     }
 }
@@ -281,39 +268,6 @@ fn render_jsonl(
     // `wall_us` is always the last key so strip_wall can remove it
     // without a JSON parser.
     let _ = writeln!(out, "}},\"wall_us\":{wall_us}}}");
-    out
-}
-
-fn render_human(
-    level: Level,
-    target: &str,
-    event: &str,
-    span: Option<SpanPhase>,
-    span_id: u64,
-    fields: &[(&'static str, ArgValue)],
-) -> String {
-    let mut out = format!("[{target}]");
-    if level <= Level::Warn {
-        let _ = write!(out, " {}:", level.as_str());
-    }
-    let _ = write!(out, " {event}");
-    if let Some(phase) = span {
-        let word = match phase {
-            SpanPhase::Begin => "begin",
-            SpanPhase::End => "end",
-        };
-        let _ = write!(out, " span={word}:{span_id}");
-    }
-    for (k, v) in fields {
-        match v {
-            ArgValue::Int(n) => {
-                let _ = write!(out, " {k}={n}");
-            }
-            ArgValue::Str(s) => {
-                let _ = write!(out, " {k}={s}");
-            }
-        }
-    }
     out
 }
 

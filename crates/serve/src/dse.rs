@@ -1,10 +1,7 @@
 //! Running a sweep end to end: expand, execute on a `cfd-exec` engine,
 //! evaluate IPC/MPKI/EDP per point, render the Pareto report.
 //!
-//! This is the one code path behind both `experiments dse` (in-process)
-//! and the daemon's executor thread, which is what makes a daemon
-//! client's report byte-identical to a serial local run of the same
-//! sweep.
+//! This is the code path behind `experiments dse`.
 
 use crate::pareto::{render_report, DseRow};
 use crate::sweep::SweepConfig;

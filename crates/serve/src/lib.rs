@@ -1,48 +1,26 @@
-//! # cfd-serve — the campaign daemon and DSE sweep service
+//! # cfd-serve — the design-space-exploration sweep library
 //!
-//! `cfd-exec` (PR 3/6) made individual campaigns parallel, cached, and
-//! crash-safe — but every campaign still lived and died with one CLI
-//! process. This crate turns that engine into a long-running service in
-//! the direction ROADMAP item 3 points: design-space exploration served
-//! from one warm, persistent store.
+//! The paper's design-space questions — how deep the BQ, VQ and TQ must
+//! be, and how the core's widths and L1 interact with them — are answered
+//! by one in-process sweep behind `experiments dse`. This crate holds it:
 //!
-//! Four layers, composable and individually testable:
-//!
-//! * [`store`] — the **artifact store**: the content-addressed result
-//!   cache promoted to a versioned shared root (`store.json` stamp,
-//!   `index.json` summary, quarantine GC) that any number of daemons,
-//!   CLI runs, and tests share safely;
 //! * [`sweep`] — **declarative sweeps**: a config grid (predictor ×
 //!   BQ/VQ/TQ × widths × L1) expanded deterministically into
-//!   fingerprinted `SimJob`s, identified by the campaign fingerprint of
-//!   its job list;
-//! * [`pareto`] + [`dse`] — **evaluation**: per-point IPC/MPKI/EDP and
-//!   a non-dominated frontier decided at table precision, rendered
-//!   byte-stably;
-//! * [`proto`] + [`daemon`] + [`client`] — the **service**: a Unix-socket
-//!   server speaking length-prefixed JSON, multiplexing concurrent
-//!   clients onto one engine with WAL-backed crash-safe resume.
+//!   fingerprinted `SimJob`s;
+//! * [`pareto`] + [`dse`] — **evaluation**: per-point IPC/MPKI/EDP on a
+//!   `cfd-exec` engine and a non-dominated frontier decided at table
+//!   precision, rendered byte-stably;
+//! * [`logcheck`] — the schema gate for the engine's JSONL event log,
+//!   behind `experiments logcheck`.
 //!
 //! Everything is dependency-free `std`, like the rest of the repo.
 
-#[cfg(unix)]
-pub mod client;
-#[cfg(unix)]
-pub mod daemon;
 pub mod dse;
 pub mod logcheck;
 pub mod pareto;
-pub mod proto;
-pub mod store;
 pub mod sweep;
 
-#[cfg(unix)]
-pub use client::{outcome_line, submit_and_wait, SweepOutcome};
-#[cfg(unix)]
-pub use daemon::{serve, DaemonConfig};
 pub use dse::run_sweep;
 pub use logcheck::check_log;
 pub use pareto::{frontier, render_report, DseRow};
-pub use proto::{HealthInfo, Request, Response, SweepCounters, SweepProgress};
-pub use store::{ArtifactStore, StoreStats, STORE_VERSION};
 pub use sweep::{DsePoint, SweepConfig, DSE_CYCLE_LIMIT};

@@ -1,6 +1,6 @@
 //! Schema validation and canonicalization for JSONL event logs.
 //!
-//! `cfd-serve logcheck --log FILE` (and the verify.sh gates) run every
+//! `experiments logcheck --log FILE` (and the verify.sh gate) runs every
 //! line of an [`EventLog`](cfd_obs::EventLog) file through
 //! [`check_log`]: each line must parse, carry the expected schema
 //! version, a valid level, and a dense sequence starting at 0. The
@@ -52,8 +52,8 @@ mod tests {
     #[test]
     fn real_log_output_passes_and_canonicalizes() {
         let log = EventLog::memory(Level::Debug);
-        log.info("cfd-serve", "listening", &[("jobs", 2u64.into())]);
-        log.debug("cfd-serve", "sweep_start", &[("sweep", "abc".into())]);
+        log.info("cfd-exec", "batch_start", &[("submitted", 2u64.into())]);
+        log.debug("cfd-exec", "cache_probe", &[("hits", 0u64.into())]);
         let canonical = check_log(&log.contents()).unwrap();
         assert!(!canonical.contains("wall_us"), "{canonical}");
         assert!(canonical.contains("\"seq\":0"));

@@ -55,8 +55,8 @@ pub fn frontier(rows: &[DseRow]) -> Vec<usize> {
 /// Renders the full DSE report: every grid point, then the frontier.
 ///
 /// Contains no timing, host, or cache-state information — the bytes are
-/// a pure function of the evaluated rows, which is what lets a daemon
-/// client `cmp` its copy against a serial in-process run.
+/// a pure function of the evaluated rows, which is what lets a run at any
+/// `--jobs` or cache state `cmp` equal to the checked-in fixture.
 pub fn render_report(title: &str, rows: &[DseRow]) -> String {
     let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(5).max("point".len());
     let front = frontier(rows);

@@ -6,18 +6,11 @@
 //! capacity). [`SweepConfig::expand`] takes the cross product in a fixed
 //! axis order, builds one [`SimJob`] per grid point, and drops exact
 //! duplicates (repeated axis values), so expansion is deterministic and
-//! duplicate-free — the property the Pareto fixtures and the daemon's
-//! idempotent sweep identity both rest on. The sweep's identity *is* its
-//! job list: [`SweepConfig::sweep_id`] folds the job fingerprints with
-//! the same [`campaign_fingerprint`] the engine uses to name its
-//! write-ahead journal, so a re-submitted sweep maps onto the journal of
-//! its first submission.
+//! duplicate-free — the property the Pareto fixtures rest on.
 
 use cfd_core::CoreConfig;
-use cfd_exec::json::write_str;
-use cfd_exec::{campaign_fingerprint, CampaignJob, Json, SimJob};
+use cfd_exec::{CampaignJob, SimJob};
 use cfd_workloads::{by_name, Scale, Variant, Workload};
-use std::fmt::Write as _;
 
 /// Cycle budget per DSE point. Grid points run small problem sizes
 /// (thousands to tens of thousands of cycles); the budget only bounds a
@@ -105,7 +98,7 @@ impl SweepConfig {
         }
     }
 
-    /// A small 8-point grid for tests and the CI daemon gate.
+    /// A small 8-point grid for tests and the CI event-log gate.
     pub fn preset_tiny() -> SweepConfig {
         SweepConfig {
             workload: "soplex_ref_like".to_string(),
@@ -141,8 +134,8 @@ impl SweepConfig {
     /// the same points in the same order. Exact duplicates (repeated
     /// values within an axis) collapse onto their first occurrence by job
     /// fingerprint. Unknown workload/variant/predictor names fail here —
-    /// expansion is the validation point — so the daemon can reject a bad
-    /// sweep before queueing it.
+    /// expansion is the validation point — so a bad sweep is rejected
+    /// before anything runs.
     pub fn expand(&self) -> Result<Vec<DsePoint>, String> {
         let entry = by_name(&self.workload).ok_or_else(|| format!("unknown workload {:?}", self.workload))?;
         let variant = variant_by_label(&self.variant).ok_or_else(|| format!("unknown variant {:?}", self.variant))?;
@@ -195,84 +188,6 @@ impl SweepConfig {
         }
         Ok(points)
     }
-
-    /// The sweep's identity: the campaign fingerprint over its expanded
-    /// job list (the same fold the engine journal uses). Two configs that
-    /// expand to the same jobs — e.g. differing only in duplicated axis
-    /// values — share an id, so daemon submissions are idempotent.
-    pub fn sweep_id(&self) -> Result<String, String> {
-        let fps: Vec<_> = self.expand()?.iter().map(|p| p.job.fingerprint()).collect();
-        Ok(campaign_fingerprint(&fps).hex())
-    }
-
-    /// Serializes the config as a JSON object (the `submit_sweep` wire
-    /// payload).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\"workload\":");
-        write_str(&mut s, &self.workload);
-        s.push_str(",\"variant\":");
-        write_str(&mut s, &self.variant);
-        let _ = write!(s, ",\"scale_n\":{}", self.scale_n);
-        s.push_str(",\"predictors\":[");
-        for (i, p) in self.predictors.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            write_str(&mut s, p);
-        }
-        s.push(']');
-        for (name, vals) in [("bq", &self.bq), ("vq", &self.vq), ("tq", &self.tq), ("l1_kb", &self.l1_kb)] {
-            let _ = write!(s, ",\"{name}\":[");
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{v}");
-            }
-            s.push(']');
-        }
-        s.push_str(",\"widths\":[");
-        for (i, (w, iw)) in self.widths.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{w},{iw}]");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Rebuilds a config from a parsed [`SweepConfig::to_json`] object.
-    pub fn from_json(v: &Json) -> Option<SweepConfig> {
-        let usize_list = |key: &str| -> Option<Vec<usize>> {
-            v.get(key)?.as_arr()?.iter().map(|x| x.as_u64().and_then(|n| usize::try_from(n).ok())).collect()
-        };
-        Some(SweepConfig {
-            workload: v.get("workload")?.as_str()?.to_string(),
-            variant: v.get("variant")?.as_str()?.to_string(),
-            scale_n: usize::try_from(v.get("scale_n")?.as_u64()?).ok()?,
-            predictors: v
-                .get("predictors")?
-                .as_arr()?
-                .iter()
-                .map(|p| p.as_str().map(str::to_string))
-                .collect::<Option<_>>()?,
-            bq: usize_list("bq")?,
-            vq: usize_list("vq")?,
-            tq: usize_list("tq")?,
-            widths: v
-                .get("widths")?
-                .as_arr()?
-                .iter()
-                .map(|pair| {
-                    let [w, iw] = pair.as_arr()? else { return None };
-                    Some((usize::try_from(w.as_u64()?).ok()?, usize::try_from(iw.as_u64()?).ok()?))
-                })
-                .collect::<Option<_>>()?,
-            l1_kb: usize_list("l1_kb")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -300,16 +215,15 @@ mod tests {
         let a: Vec<String> = cfg.expand().unwrap().iter().map(|p| p.label.clone()).collect();
         let b: Vec<String> = cfg.expand().unwrap().iter().map(|p| p.label.clone()).collect();
         assert_eq!(a, b);
-        assert_eq!(cfg.sweep_id().unwrap(), cfg.sweep_id().unwrap());
     }
 
     #[test]
-    fn duplicate_axis_values_collapse_and_share_the_sweep_id() {
+    fn duplicate_axis_values_collapse_onto_the_same_jobs() {
+        let fingerprints =
+            |cfg: &SweepConfig| -> Vec<_> { cfg.expand().unwrap().iter().map(|p| p.job.fingerprint()).collect() };
         let mut dup = SweepConfig::preset_tiny();
         dup.bq = vec![128, 256, 128];
-        let base = SweepConfig::preset_tiny();
-        assert_eq!(dup.expand().unwrap().len(), base.expand().unwrap().len());
-        assert_eq!(dup.sweep_id().unwrap(), base.sweep_id().unwrap());
+        assert_eq!(fingerprints(&dup), fingerprints(&SweepConfig::preset_tiny()));
     }
 
     #[test]
@@ -326,15 +240,5 @@ mod tests {
         let mut c = SweepConfig::preset_tiny();
         c.l1_kb.clear();
         assert!(c.expand().is_err());
-    }
-
-    #[test]
-    fn config_json_roundtrips() {
-        for cfg in [SweepConfig::preset_default(), SweepConfig::preset_tiny()] {
-            let json = cfg.to_json();
-            let back = SweepConfig::from_json(&Json::parse(&json).unwrap()).unwrap();
-            assert_eq!(back, cfg);
-            assert_eq!(back.to_json(), json);
-        }
     }
 }

@@ -32,16 +32,16 @@ out=$(mktemp); out2=$(mktemp)
 obs=$(mktemp -d)
 crash=$(mktemp -d); resumed=$(mktemp)
 sep=$(mktemp)
-serve=$(mktemp -d)
-trap 'rm -rf "$cache" "$lint_par" "$lint_ser" "$stats" "$out" "$out2" "$obs" "$crash" "$resumed" "$sep" "$serve"' EXIT
+scratch=$(mktemp -d)
+trap 'rm -rf "$cache" "$lint_par" "$lint_ser" "$stats" "$out" "$out2" "$obs" "$crash" "$resumed" "$sep" "$scratch"' EXIT
 
 echo "== benchmark gate: perfbench builds and one profile pass runs clean"
 # perfbench is a package of its own (its own [workspace]), so the workspace
 # build above never compiles it: an API change in a crate it calls would
 # break the benchmark unseen. One short pass must report "failed": 0.
 cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload profile --seed 1 --seconds 1 --trace 0 > "$serve/perfbench.txt"
-tail -n 1 "$serve/perfbench.txt" | grep -q '"failed": 0'
+    --workload profile --seed 1 --seconds 1 --trace 0 > "$scratch/perfbench.txt"
+tail -n 1 "$scratch/perfbench.txt" | grep -q '"failed": 0'
 
 echo "== observe determinism: two telemetry runs must be byte-identical"
 cargo run -q --release --offline -p cfd-bench --bin experiments -- \
@@ -108,66 +108,19 @@ echo "== dse gate: flagship sweep must match the checked-in Pareto fixture"
 target/release/experiments dse --preset default --jobs 4 --no-cache --quiet --out "$out"
 cmp "$out" crates/bench/tests/fixtures/dse_default.txt
 
-echo "== daemon gate: concurrent clients, serial equality, SIGKILL resume"
-# Serial, cache-less, in-process reference run first.
-target/release/experiments dse --preset tiny --jobs 1 --no-cache --quiet --out "$serve/serial.txt"
-target/release/cfd-serve daemon --socket "$serve/sock" --store "$serve/store" --jobs 2 --quiet &
-daemon=$!
-for _ in $(seq 1 500); do [[ -S "$serve/sock" ]] && break; sleep 0.01; done
-# Two concurrent clients must fold onto one sweep and both must receive
-# bytes identical to the serial reference.
-target/release/cfd-serve submit --socket "$serve/sock" --preset tiny --out "$serve/c1.txt" 2> /dev/null &
-client=$!
-target/release/cfd-serve submit --socket "$serve/sock" --preset tiny --out "$serve/c2.txt" 2> /dev/null
-wait "$client"
-cmp "$serve/c1.txt" "$serve/c2.txt"
-cmp "$serve/c1.txt" "$serve/serial.txt"
-# SIGKILL the daemon (no clean handover — the stale socket stays behind),
-# restart it on the same store: the resubmitted sweep must replay entirely
-# from the artifact store, byte-identically, with zero re-executed jobs.
-kill -9 "$daemon" 2> /dev/null || true
-wait "$daemon" 2> /dev/null || true
-target/release/cfd-serve daemon --socket "$serve/sock" --store "$serve/store" --jobs 2 --quiet &
-daemon=$!
-for _ in $(seq 1 500); do target/release/cfd-serve stats --socket "$serve/sock" > /dev/null 2>&1 && break; sleep 0.01; done
-target/release/cfd-serve submit --socket "$serve/sock" --preset tiny --out "$serve/c3.txt" 2> "$serve/outcome.txt"
-grep -q 'executed=0' "$serve/outcome.txt"
-cmp "$serve/c3.txt" "$serve/serial.txt"
-target/release/cfd-serve shutdown --socket "$serve/sock"
-wait "$daemon"
-
-echo "== observability gate: daemon metrics/health round-trip + JSONL event log"
-# A daemon with a JSONL sink at debug; human stderr is not under test.
-target/release/cfd-serve daemon --socket "$serve/sock" --store "$serve/store" --jobs 2 \
-    --log "$serve/daemon.jsonl" --log-level debug 2> /dev/null &
-daemon=$!
-for _ in $(seq 1 500); do target/release/cfd-serve stats --socket "$serve/sock" > /dev/null 2>&1 && break; sleep 0.01; done
-target/release/cfd-serve submit --socket "$serve/sock" --preset tiny --out /dev/null 2> /dev/null
-target/release/cfd-serve metrics --socket "$serve/sock" > "$serve/metrics.txt"
-grep -q 'daemon.requests' "$serve/metrics.txt"
-grep -q 'daemon.sweep_latency_ms' "$serve/metrics.txt"
-grep -q 'exec.submitted' "$serve/metrics.txt"
-grep -q '\[store\] version=1' "$serve/metrics.txt"
-target/release/cfd-serve health --socket "$serve/sock" > "$serve/health.txt"
-grep -q 'executor=alive' "$serve/health.txt"
-target/release/cfd-serve shutdown --socket "$serve/sock"
-wait "$daemon"
-# The daemon's event log must pass the schema gate (version, dense seq)
-# and contain the sweep lifecycle.
-target/release/cfd-serve logcheck --log "$serve/daemon.jsonl" > "$serve/daemon.canon"
-grep -q '"event":"sweep_done"' "$serve/daemon.canon"
-
 echo "== event-log determinism: engine JSONL byte-identical across --jobs"
 # The same sweep, serial vs 4 workers, each with a JSONL sink on the
 # engine: after logcheck strips wall clocks, the streams must be
 # byte-identical (events are emitted only from serial engine sections).
 target/release/experiments dse --preset tiny --no-cache --quiet --out /dev/null \
-    --log "$serve/l1.jsonl" > /dev/null 2> /dev/null
+    --log "$scratch/l1.jsonl" > /dev/null 2> /dev/null
 target/release/experiments dse --preset tiny --jobs 4 --no-cache --quiet --out /dev/null \
-    --log "$serve/l2.jsonl" > /dev/null 2> /dev/null
-target/release/cfd-serve logcheck --log "$serve/l1.jsonl" > "$serve/l1.canon"
-target/release/cfd-serve logcheck --log "$serve/l2.jsonl" > "$serve/l2.canon"
-cmp "$serve/l1.canon" "$serve/l2.canon"
+    --log "$scratch/l2.jsonl" > /dev/null 2> /dev/null
+target/release/experiments logcheck --log "$scratch/l1.jsonl" > "$scratch/l1.canon"
+target/release/experiments logcheck --log "$scratch/l2.jsonl" > "$scratch/l2.canon"
+cmp "$scratch/l1.canon" "$scratch/l2.canon"
+# An empty log would pass the cmp; the batch lifecycle must be there.
+grep -q '"event":"batch_done"' "$scratch/l1.canon"
 
 echo "== simperf: profiled throughput snapshot, stage shares must sum to 100%"
 # The soft floor warns; the hard floor (exit 3) is the null-host overhead
@@ -177,13 +130,13 @@ echo "== simperf: profiled throughput snapshot, stage shares must sum to 100%"
 # real regression, not host noise, trips it). --append records the run
 # into the KIPS trajectory artifact (one JSONL record per run), giving a
 # before/after table across refactors.
-target/release/experiments simperf --profile --min-kips 250 --min-kips-hard 100 --append > "$serve/simperf.txt"
-grep -q 'stage shares sum to 100.00%' "$serve/simperf.txt"
+target/release/experiments simperf --profile --min-kips 250 --min-kips-hard 100 --append > "$scratch/simperf.txt"
+grep -q 'stage shares sum to 100.00%' "$scratch/simperf.txt"
 test -s artifacts/BENCH_simperf.json
 # --append makes the JSON artifact a trajectory: one record per run.
-target/release/experiments simperf --scale 40 --json "$serve/perf.jsonl" --append > /dev/null
-target/release/experiments simperf --scale 40 --json "$serve/perf.jsonl" --append > /dev/null
-[[ "$(wc -l < "$serve/perf.jsonl")" == "2" ]]
+target/release/experiments simperf --scale 40 --json "$scratch/perf.jsonl" --append > /dev/null
+target/release/experiments simperf --scale 40 --json "$scratch/perf.jsonl" --append > /dev/null
+[[ "$(wc -l < "$scratch/perf.jsonl")" == "2" ]]
 
 echo "== checkpoint-determinism gate: quarter-point restores must be byte-identical"
 # `experiments ckpt` exits 2 on any in-process divergence; the cmp
@@ -196,8 +149,8 @@ echo "== sampled-simulation gate: IPC within 10% of full detail on every workloa
 # Deterministic cross-check (both IPCs are ratios of simulated counters):
 # fast-forward/warm/measure sampling must land within the documented 10%
 # error bound on the whole catalog, or the run exits 4.
-target/release/experiments simperf --sampled --max-err 10 > "$serve/sampled.txt"
-grep -q 'sampled max IPC error' "$serve/sampled.txt"
+target/release/experiments simperf --sampled --max-err 10 > "$scratch/sampled.txt"
+grep -q 'sampled max IPC error' "$scratch/sampled.txt"
 
 if [[ "$QUICK" == "0" ]]; then
     echo "== golden equivalence: full experiments transcript vs checked-in fixture"
