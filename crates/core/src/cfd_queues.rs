@@ -27,6 +27,21 @@ pub struct BqSlot {
     pub spec_predicate: bool,
     /// Sequence number of the speculative pop (for late-push recovery).
     pub pop_seq: u64,
+    /// Instruction-window position of the speculative pop: where the late
+    /// push finds it, if `pop_seq` says it is still there.
+    pub pop_pos: u64,
+}
+
+/// A speculative pop that a late push must verify (see
+/// [`FetchBq::execute_push`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecPop {
+    /// Sequence number of the pop.
+    pub seq: u64,
+    /// Instruction-window position of the pop.
+    pub pos: u64,
+    /// The predicate the pop speculated on.
+    pub predicate: bool,
 }
 
 /// Snapshot of BQ pointers for branch recovery.
@@ -156,46 +171,41 @@ impl FetchBq {
     }
 
     /// Records a speculative pop (BQ miss + speculate policy): stores the
-    /// predicted predicate and the pop's sequence number in the entry.
-    pub fn record_spec_pop(&mut self, abs: u64, predicted: bool, pop_seq: u64) {
+    /// predicted predicate and the pop's sequence number and window
+    /// position in the entry.
+    pub fn record_spec_pop(&mut self, abs: u64, predicted: bool, pop_seq: u64, pop_pos: u64) {
         let s = self.slot_mut(abs);
         s.abs = abs;
         s.popped = true;
         s.spec_predicate = predicted;
         s.pop_seq = pop_seq;
+        s.pop_pos = pop_pos;
     }
 
     /// Execution of a `Push_BQ` with the computed predicate.
     ///
-    /// Returns `Some((pop_seq, spec_predicate))` when the entry was already
-    /// speculatively popped (late push): the caller must verify the
-    /// speculation and recover when `spec_predicate != predicate`.
+    /// Returns the [`SpecPop`] when the entry was already speculatively
+    /// popped (late push): the caller must verify the speculation and
+    /// recover when its predicate differs from `predicate`.
     /// A stale write (the entry was reallocated or bulk-popped past) is
     /// dropped and returns `None`.
-    pub fn execute_push(&mut self, abs: u64, predicate: bool) -> Option<(u64, bool)> {
+    pub fn execute_push(&mut self, abs: u64, predicate: bool) -> Option<SpecPop> {
         self.execute_push_tainted(abs, predicate, 0)
     }
 
     /// [`execute_push`](Self::execute_push) carrying the predicate's
     /// memory-level taint code for misprediction attribution.
-    pub fn execute_push_tainted(&mut self, abs: u64, predicate: bool, taint_code: u8) -> Option<(u64, bool)> {
+    pub fn execute_push_tainted(&mut self, abs: u64, predicate: bool, taint_code: u8) -> Option<SpecPop> {
         let size = self.size as u64;
         // Stale if the slot has been reallocated to a newer absolute index.
         if self.slot(abs).abs != abs || abs + size < self.tail {
             return None;
         }
         let s = self.slot_mut(abs);
-        let was_popped = s.popped;
-        let spec = s.spec_predicate;
-        let pop_seq = s.pop_seq;
         s.predicate = predicate;
         s.taint_code = taint_code;
         s.pushed = true;
-        if was_popped {
-            Some((pop_seq, spec))
-        } else {
-            None
-        }
+        s.popped.then_some(SpecPop { seq: s.pop_seq, pos: s.pop_pos, predicate: s.spec_predicate })
     }
 
     /// Observes the entry at `abs`: `Some(predicate)` when its push has
@@ -480,14 +490,14 @@ mod tests {
         let p = bq.fetch_push();
         let (abs, pred) = bq.fetch_pop();
         assert_eq!(pred, None, "BQ miss");
-        bq.record_spec_pop(abs, true, 42);
+        bq.record_spec_pop(abs, true, 42, 7);
         // Push executes later and must verify the speculation.
-        assert_eq!(bq.execute_push(p, false), Some((42, true)));
+        assert_eq!(bq.execute_push(p, false), Some(SpecPop { seq: 42, pos: 7, predicate: true }));
         // Matching speculation:
         let p2 = bq.fetch_push();
         let (abs2, _) = bq.fetch_pop();
-        bq.record_spec_pop(abs2, true, 43);
-        assert_eq!(bq.execute_push(p2, true), Some((43, true)));
+        bq.record_spec_pop(abs2, true, 43, 8);
+        assert_eq!(bq.execute_push(p2, true), Some(SpecPop { seq: 43, pos: 8, predicate: true }));
     }
 
     #[test]
@@ -523,7 +533,7 @@ mod tests {
         // Wrong path: two pushes and a speculative pop.
         bq.fetch_push();
         let (abs, _) = bq.fetch_pop();
-        bq.record_spec_pop(abs, false, 9);
+        bq.record_spec_pop(abs, false, 9, 3);
         bq.fetch_push();
         bq.recover(&snap);
         assert_eq!(bq.head, snap.head);

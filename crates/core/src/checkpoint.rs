@@ -2,7 +2,7 @@
 //!
 //! A [`Checkpoint`] is a deep copy of the entire [`Pipeline`] — both
 //! functional oracles (including the committed memory image), the front
-//! end with its CFD queues, rename state, ROB, scheduler wheels, cache
+//! end with its CFD queues, rename state, instruction window, scheduler wheels, cache
 //! hierarchy, statistics, and the kernel's own stepping state — sealed
 //! with a version tag and an FNV-1a digest of an architectural state
 //! summary.
@@ -104,7 +104,7 @@ fn state_digest(p: &Pipeline) -> u64 {
     let mut h = Fnv::new();
     h.put(p.now);
     h.put(p.next_seq);
-    h.put(p.next_rob_seq);
+    h.put(p.win.rob().end);
     h.put(u64::from(p.fetch_pc));
     h.put(p.fetch_resume_at);
     h.put(u64::from(p.fetch_halted));
@@ -122,15 +122,17 @@ fn state_digest(p: &Pipeline) -> u64 {
     h.put(p.iq_count as u64);
     h.put(p.lsq_count as u64);
     h.put(p.checkpoints_free as u64);
-    h.put(p.front_q.len() as u64);
-    for d in &p.front_q {
+    h.put(p.win.front_len() as u64);
+    for pos in p.win.front() {
+        let d = &p.win[pos];
         h.put(d.seq);
         h.put(u64::from(d.pc));
     }
-    h.put(p.rob.len() as u64);
-    for d in &p.rob {
+    h.put(p.win.rob_len() as u64);
+    for pos in p.win.rob() {
+        let d = &p.win[pos];
         h.put(d.seq);
-        h.put(d.rob_seq);
+        h.put(pos);
         h.put(u64::from(d.pc));
         h.put(u64::from(d.done) | u64::from(d.issued) << 1 | u64::from(d.verified) << 2);
     }

@@ -10,7 +10,7 @@
 
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::pipeline::{DynInst, Pipeline};
+use crate::pipeline::Pipeline;
 use crate::rename::join_taint;
 use crate::stats::level_index;
 use cfd_isa::{eval_branch, Instr, NullSink};
@@ -18,18 +18,22 @@ use cfd_isa::{eval_branch, Instr, NullSink};
 impl Pipeline {
     pub(crate) fn commit(&mut self) -> Result<(), CoreError> {
         for _ in 0..self.cfg.width {
-            let Some(head) = self.rob.front() else { return Ok(()) };
+            let Some(pos) = self.win.rob_head() else { return Ok(()) };
+            let head = &self.win[pos];
             if !head.dispatched || !head.done || !head.verified {
                 return Ok(());
             }
             // Deferred (retirement-time) misprediction recovery.
             if head.mispredict && head.recover_at_retire {
                 self.stats.retire_recoveries += 1;
-                self.recover_at(0);
+                self.recover_at(pos);
             }
-            let mut e = self.rob.pop_front().expect("head exists");
-            debug_assert!(!self.ready.contains(e.rob_seq), "retired instruction left in the ready set");
-            self.trace_record(&e, Some(self.now));
+            // Leave the ROB; the slot keeps the record until fetch reuses
+            // it, which cannot happen before the next cycle's fetch.
+            self.win.retire();
+            debug_assert!(!self.ready.contains(pos), "retired instruction left in the ready set");
+            self.trace_record(pos, Some(self.now));
+            let e = &self.win[pos];
 
             // Oracle cross-check: the retired stream must match functional
             // execution exactly.
@@ -99,7 +103,7 @@ impl Pipeline {
                     if let Some(addr) = e.eff_addr {
                         self.mem.data_access(e.pc as u64 * 4, addr, true, self.now);
                     }
-                    debug_assert_eq!(self.store_list.front(), Some(&e.rob_seq));
+                    debug_assert_eq!(self.store_list.front(), Some(&pos));
                     self.store_list.pop_front();
                 }
                 Instr::Halt => {
@@ -109,10 +113,11 @@ impl Pipeline {
             }
 
             // Branch bookkeeping + predictor training.
+            let has_checkpoint = e.has_checkpoint;
             if e.fetch_taken.is_some() || matches!(e.instr, Instr::Jr { .. }) {
-                self.retire_branch(&mut e);
+                self.retire_branch(pos);
             }
-            if e.has_checkpoint {
+            if has_checkpoint {
                 self.checkpoints_free += 1;
             }
             if self.halted {
@@ -122,7 +127,8 @@ impl Pipeline {
         Ok(())
     }
 
-    fn retire_branch(&mut self, e: &mut DynInst) {
+    fn retire_branch(&mut self, pos: u64) {
+        let e = &self.win[pos];
         let taken = e.resolved_taken.or(e.fetch_taken).unwrap_or(false);
         if e.instr.is_conditional() {
             self.stats.retired_branches += 1;
@@ -137,7 +143,7 @@ impl Pipeline {
             stat.mispredicted_by_level[level_index(e.taint)] += 1;
             self.stats.mispredictions += 1;
         }
-        if let Some(meta) = &e.pred_meta {
+        if let Some(meta) = self.win.meta(pos) {
             self.predictor.train(Self::bpc(e.pc), taken, meta);
             self.events.bpred_ops += 1;
         }
@@ -146,10 +152,10 @@ impl Pipeline {
         }
     }
 
-    /// Resolves a plain branch or indirect jump at ROB index `i`. Returns
-    /// true if an immediate recovery truncated the ROB.
-    pub(crate) fn resolve_branch(&mut self, i: usize) -> bool {
-        let e = &self.rob[i];
+    /// Resolves a plain branch or indirect jump at window position `pos`.
+    /// Returns true if an immediate recovery truncated the ROB.
+    pub(crate) fn resolve_branch(&mut self, pos: u64) -> bool {
+        let e = &self.win[pos];
         let (actual_taken, actual_target) = match e.instr {
             Instr::Branch { cond, target, .. } => {
                 let a = self.rename.read(e.psrc1.expect("branch src1"));
@@ -181,39 +187,37 @@ impl Pipeline {
             Instr::Branch { target, .. } => e.fetch_taken != Some(actual_taken) && target != e.pc + 1,
             _ => predicted_target != actual_target,
         };
-        let idx = i;
-        {
-            let e = &mut self.rob[idx];
-            e.resolved_taken = Some(actual_taken);
-            e.taint = taint;
-        }
+        let e = &mut self.win[pos];
+        e.resolved_taken = Some(actual_taken);
+        e.taint = taint;
         if mispredicted {
-            self.rob[idx].mispredict = true;
-            let truncated = self.begin_recovery(idx, actual_target, actual_taken);
+            e.mispredict = true;
+            let truncated = self.begin_recovery(pos);
             // OoO checkpoint reclamation: the checkpoint was consumed by the
             // recovery (or was never held); release it now, not at retire.
-            self.release_checkpoint(idx);
+            self.release_checkpoint(pos);
             truncated
         } else {
             // Correctly-predicted branch: its checkpoint is no longer needed
             // (aggressive OoO reclamation, the paper's best policy, §VI).
-            self.release_checkpoint(idx);
+            self.release_checkpoint(pos);
             false
         }
     }
 
-    /// Frees the checkpoint held by the ROB entry at `idx`, if any.
-    pub(crate) fn release_checkpoint(&mut self, idx: usize) {
-        if self.rob[idx].has_checkpoint {
-            self.rob[idx].has_checkpoint = false;
+    /// Frees the checkpoint held by the ROB entry at `pos`, if any.
+    pub(crate) fn release_checkpoint(&mut self, pos: u64) {
+        let e = &mut self.win[pos];
+        if e.has_checkpoint {
+            e.has_checkpoint = false;
             self.checkpoints_free += 1;
         }
     }
 
-    /// Executes a `Push_BQ` at ROB index `i`; handles late-push
+    /// Executes a `Push_BQ` at window position `pos`; handles late-push
     /// verification. Returns true if recovery truncated the ROB.
-    pub(crate) fn execute_push_bq(&mut self, i: usize) -> bool {
-        let e = &self.rob[i];
+    pub(crate) fn execute_push_bq(&mut self, pos: u64) -> bool {
+        let e = &self.win[pos];
         let abs = e.bq_abs.expect("bq push has index");
         let src = e.psrc1.expect("bq push has source");
         let mut predicate = self.rename.read(src) != 0;
@@ -229,26 +233,31 @@ impl Pipeline {
         self.events.bq_ops += 1;
         let r = self.bq.execute_push_tainted(abs, predicate, level_index(taint) as u8);
         if self.trace {
-            eprintln!("[{}] EXEC_PUSH seq={} abs={} pred={} result={:?}", self.now, self.rob[i].seq, abs, predicate, r);
+            eprintln!(
+                "[{}] EXEC_PUSH seq={} abs={} pred={} result={:?}",
+                self.now, self.win[pos].seq, abs, predicate, r
+            );
         }
-        let Some((pop_seq, spec_pred)) = r else {
+        let Some(pop) = r else {
             return false;
         };
-        // Late push: find the speculative pop and verify it.
-        let Some(pop_idx) = self.rob.iter().position(|x| x.seq == pop_seq) else {
-            return false; // the pop was squashed
-        };
-        {
-            let pop = &mut self.rob[pop_idx];
-            pop.verified = true;
-            pop.taint = taint;
+        // Late push: the speculative pop is verified here when it is still
+        // in the ROB at its recorded position. A pop still in the front
+        // pipe is verified when it dispatches; a squashed one is gone (its
+        // position may hold a younger instruction, told apart by `seq`).
+        if !(self.win.in_rob(pop.pos) && self.win[pop.pos].seq == pop.seq) {
+            return false;
         }
-        if spec_pred == predicate {
-            self.release_checkpoint(pop_idx);
+        let pop_pos = pop.pos;
+        let e = &mut self.win[pop_pos];
+        e.verified = true;
+        e.taint = taint;
+        if pop.predicate == predicate {
+            self.release_checkpoint(pop_pos);
             return false;
         }
         let actual_taken = !predicate;
-        let taken_target = match self.rob[pop_idx].instr {
+        let taken_target = match e.instr {
             Instr::BranchOnBq { target } => target,
             _ => unreachable!("spec pop is a Branch_on_BQ"),
         };
@@ -256,70 +265,70 @@ impl Pipeline {
         // wrong but both directions continue at the same PC, so the fetched
         // path is already correct — no squash, and the fetch oracle (which
         // never diverged) must not be rewound.
-        if taken_target == self.rob[pop_idx].pc + 1 {
-            self.rob[pop_idx].resolved_taken = Some(actual_taken);
-            self.release_checkpoint(pop_idx);
+        if taken_target == e.pc + 1 {
+            e.resolved_taken = Some(actual_taken);
+            self.release_checkpoint(pop_pos);
             return false;
         }
         // Speculation failed: the pop's direction flips (taken = !predicate).
         self.stats.bq_spec_recoveries += 1;
-        let target = if actual_taken { taken_target } else { self.rob[pop_idx].pc + 1 };
-        self.rob[pop_idx].mispredict = true;
-        self.rob[pop_idx].resolved_taken = Some(actual_taken);
-        let truncated = self.begin_recovery(pop_idx, target, actual_taken);
-        self.release_checkpoint(pop_idx);
+        e.mispredict = true;
+        e.resolved_taken = Some(actual_taken);
+        let truncated = self.begin_recovery(pop_pos);
+        self.release_checkpoint(pop_pos);
         truncated
     }
 
-    /// Starts recovery for the mispredicted instruction at ROB index `i`:
-    /// immediately when it holds a checkpoint, else deferred to retirement.
-    /// Returns true when the ROB was truncated now.
-    pub(crate) fn begin_recovery(&mut self, i: usize, _target: u32, _actual_taken: bool) -> bool {
+    /// Starts recovery for the mispredicted instruction at window position
+    /// `pos`: immediately when it holds a checkpoint, else deferred to
+    /// retirement. Returns true when the ROB was truncated now.
+    pub(crate) fn begin_recovery(&mut self, pos: u64) -> bool {
         if self.fault_has_fired() {
             self.stats.post_fault_recoveries += 1;
         }
-        if self.rob[i].has_checkpoint {
+        if self.win[pos].has_checkpoint {
             self.stats.immediate_recoveries += 1;
             self.events.checkpoint_ops += 1;
-            self.recover_at(i);
+            self.recover_at(pos);
             true
         } else {
-            self.rob[i].recover_at_retire = true;
+            self.win[pos].recover_at_retire = true;
             false
         }
     }
 
-    /// Squashes everything younger than ROB index `i` and restores front-end
-    /// state from its snapshot; fetch resumes at the corrected target.
-    pub(crate) fn recover_at(&mut self, i: usize) {
-        let squashed = (self.rob.len() - (i + 1)) as u64 + self.front_q.len() as u64;
+    /// Squashes everything younger than window position `pos` and restores
+    /// front-end state from its snapshot; fetch resumes at the corrected
+    /// target.
+    pub(crate) fn recover_at(&mut self, pos: u64) {
+        let end = pos + 1;
+        let squashed = self.win.front().end - end;
         // Squash the front pipe entirely (younger than everything in ROB),
         // returning any checkpoints its branches hold.
-        for e in &self.front_q {
-            if e.has_checkpoint {
+        for p in self.win.front() {
+            if self.win[p].has_checkpoint {
                 self.checkpoints_free += 1;
             }
         }
-        self.front_q.clear();
-        // Walk youngest -> oldest undoing renames.
-        while self.rob.len() > i + 1 {
-            let mut victim = self.rob.pop_back().expect("len > i+1");
-            self.squash_entry(&mut victim);
+        // Walk the ROB youngest -> oldest undoing renames, then cut both
+        // ranges back to the recovering instruction.
+        for victim in (end..self.win.rob().end).rev() {
+            self.squash_entry(victim);
         }
-        let max_rob_seq = self.rob.back().expect("recovery target survives").rob_seq;
         // Prune squashed ordinals from the ready set. Wakeup/completion
         // wheels and PRF waiter lists are pruned lazily instead: a stale
-        // ordinal there (even one later reused, since `next_rob_seq` resets)
-        // only triggers a spurious liveness re-check — every issue and
-        // completion re-validates against the live ROB entry.
-        self.ready.clear_range(max_rob_seq + 1, self.next_rob_seq);
-        self.next_rob_seq = max_rob_seq + 1;
-        self.store_list.retain(|&s| s <= max_rob_seq);
-        // Borrow the recovering entry next to the disjoint front-end fields
-        // it repairs (no clone of its boxed snapshot or predictor metadata).
-        let e = &self.rob[i];
+        // ordinal there (even one later reused, since positions are reused
+        // after the truncation) only triggers a spurious liveness re-check —
+        // every issue and completion re-validates against the live ROB
+        // entry.
+        self.ready.clear_range(end, self.win.rob().end);
+        self.win.truncate(end);
+        self.store_list.retain(|&s| s < end);
+        // Borrow the recovering entry and its snapshot next to the disjoint
+        // front-end fields they repair.
+        let e = &self.win[pos];
         let (pc, seq, instr, resolved_taken, psrc1) = (e.pc, e.seq, e.instr, e.resolved_taken, e.psrc1);
-        let snap = e.snapshot.as_deref().expect("recovering instruction has a snapshot");
+        let snap = self.win.snapshot(pos).expect("recovering instruction has a snapshot");
         if self.trace {
             eprintln!(
                 "[{}] BQ_RECOVER to snap head={} tail={} (was h={} t={})",
@@ -333,7 +342,7 @@ impl Pipeline {
         self.ras.restore(&snap.ras);
 
         // Predictor history rewinds to this branch and learns the outcome.
-        if let Some(meta) = &e.pred_meta {
+        if let Some(meta) = self.win.meta(pos) {
             self.predictor.recover(Self::bpc(pc), resolved_taken.unwrap_or(false), meta);
         }
 
@@ -400,8 +409,10 @@ impl Pipeline {
         }
     }
 
-    fn squash_entry(&mut self, victim: &mut DynInst) {
-        self.trace_record(victim, None);
+    /// Undoes the bookkeeping of the squashed ROB entry at `pos`.
+    fn squash_entry(&mut self, pos: u64) {
+        self.trace_record(pos, None);
+        let victim = &self.win[pos];
         if victim.in_iq && !victim.issued {
             self.iq_count -= 1;
         }

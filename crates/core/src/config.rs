@@ -149,6 +149,11 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
+    /// Front-pipe capacity: fetched instructions waiting to dispatch.
+    pub(crate) fn front_cap(&self) -> usize {
+        (self.front_depth as usize + 2) * self.width
+    }
+
     /// The paper's large-window projections (Fig. 21b/23): scales the ROB
     /// and the window-proportional structures.
     pub fn with_window(mut self, rob: usize) -> Self {

@@ -1,8 +1,10 @@
 //! Dispatch stage: decode/rename and ROB/IQ/LSQ allocation.
 //!
-//! Pulls from `front_q` once the front-pipe delay elapses, renames sources
-//! and destinations through [`RenameState`](crate::rename::RenameState) and
-//! the VQ renamer, assigns dense `rob_seq` ordinals, and hands backend
+//! Takes the oldest front-pipe entry of the instruction window once the
+//! front-pipe delay elapses, renames its sources and destinations in place
+//! through [`RenameState`](crate::rename::RenameState) and the VQ renamer,
+//! moves it into the ROB by advancing the window's dispatch cursor (its
+//! position is its dense `rob_seq` ordinal), and hands backend
 //! instructions to the scheduler by registering them for event-driven
 //! wakeup ([`Pipeline::register_or_ready`]). Fetch-resolved instructions
 //! complete here. Also re-verifies speculative BQ pops whose push executed
@@ -16,11 +18,12 @@ use cfd_isa::Instr;
 impl Pipeline {
     pub(crate) fn dispatch(&mut self) {
         for _ in 0..self.cfg.width {
-            let Some(front) = self.front_q.front() else { return };
+            let Some(pos) = self.win.front_head() else { return };
+            let front = &self.win[pos];
             if front.dispatch_at > self.now {
                 return;
             }
-            if self.rob.len() >= self.cfg.rob_size {
+            if self.win.rob_len() >= self.cfg.rob_size {
                 return;
             }
             let needs_backend = front.needs_backend();
@@ -42,15 +45,18 @@ impl Pipeline {
             if self.rename.free_regs() < 1 {
                 return;
             }
-            let mut e = self.front_q.pop_front().expect("checked");
-            let instr = e.instr;
+            // Rename in place.
+            let instr = front.instr;
             let (s1, s2) = instr.sources();
-            e.psrc1 = s1.map(|r| self.rename.map(r));
-            e.psrc2 = s2.map(|r| self.rename.map(r));
+            let psrc1 = s1.map(|r| self.rename.map(r));
+            let psrc2 = s2.map(|r| self.rename.map(r));
+            let e = &mut self.win[pos];
+            e.psrc1 = psrc1;
+            e.psrc2 = psrc2;
             match instr {
                 Instr::PushVq { .. } => {
                     let Some(p) = self.rename.alloc_phys() else { return };
-                    e.pdest = Some(p);
+                    self.win[pos].pdest = Some(p);
                     self.vq.rename_push(p);
                     self.events.vq_ops += 1;
                 }
@@ -60,7 +66,7 @@ impl Pipeline {
                     // `pop_vq r0` is ISA-legal (consume and discard): it
                     // still pops the mapping but writes no register.
                     let mut vq_src = self.vq.rename_pop();
-                    e.vq_free = Some(vq_src);
+                    self.win[pos].vq_free = Some(vq_src);
                     // Fault injection at the VQ rename map: the pop latches
                     // a different physical register than its push wrote.
                     // The wrong value either reaches control flow (oracle
@@ -72,10 +78,11 @@ impl Pipeline {
                     if self.fault_at(FaultSite::VqRenamePop) == Some(FaultKind::VqRemapCorrupt) {
                         vq_src = (vq_src ^ 1) % self.cfg.prf_size as PhysReg;
                     }
-                    e.psrc1 = Some(vq_src);
+                    self.win[pos].psrc1 = Some(vq_src);
                     self.events.vq_ops += 1;
                     if let Some(rd) = instr.dest() {
                         let Some((p, prev)) = self.rename.rename_dest(rd) else { return };
+                        let e = &mut self.win[pos];
                         e.pdest = Some(p);
                         e.prev_phys = Some(prev);
                     }
@@ -83,18 +90,20 @@ impl Pipeline {
                 _ => {
                     if let Some(rd) = instr.dest() {
                         let Some((p, prev)) = self.rename.rename_dest(rd) else { return };
+                        let e = &mut self.win[pos];
                         e.pdest = Some(p);
                         e.prev_phys = Some(prev);
                     }
                 }
             }
+            // Join the ROB: the entry's position is its `rob_seq`.
+            let rob_seq = self.win.dispatch();
+            debug_assert_eq!(rob_seq, pos);
+            let e = &mut self.win[pos];
             e.dispatched = true;
             e.t_dispatch = self.now;
-            e.rob_seq = self.next_rob_seq;
-            self.next_rob_seq += 1;
             self.events.decoded += 1;
             self.events.renamed += 1;
-            let rob_seq = e.rob_seq;
             if needs_backend {
                 e.in_iq = true;
                 self.iq_count += 1;
@@ -104,24 +113,22 @@ impl Pipeline {
                 e.done = true;
                 e.ready_at = self.now;
                 e.t_complete = self.now;
-                if let Instr::Jal { .. } = instr {
+                if let (Instr::Jal { .. }, Some(p)) = (instr, e.pdest) {
                     // Link value is known statically.
-                    if let Some(p) = e.pdest {
-                        self.prf_write(p, (e.pc + 1) as i64, self.now, None);
-                        self.events.regfile_writes += 1;
-                    }
+                    let link = (e.pc + 1) as i64;
+                    self.prf_write(p, link, self.now, None);
+                    self.events.regfile_writes += 1;
                 }
             }
             if is_mem {
-                e.in_lsq = true;
+                self.win[pos].in_lsq = true;
                 self.lsq_count += 1;
                 if matches!(instr, Instr::Store { .. }) {
-                    self.store_list.push_back(e.rob_seq);
+                    self.store_list.push_back(rob_seq);
                 }
             }
             self.events.rob_ops += 1;
-            let spec_pop_unverified = e.spec_pop && !e.verified;
-            self.rob.push_back(e);
+            let spec_pop_unverified = self.win[pos].spec_pop && !self.win[pos].verified;
             if needs_backend {
                 // Hand the instruction to the scheduler: straight to the
                 // ready queue, or parked on its first blocking source.
@@ -130,44 +137,43 @@ impl Pipeline {
             // The corrected path reached the ROB: misprediction refill over.
             self.refill_after_recovery = false;
             // A late push may have executed while this speculative pop sat
-            // in the front pipe; its ROB scan could not find the pop then,
-            // so verify against the BQ entry now.
-            if spec_pop_unverified {
-                let idx = self.rob.len() - 1;
-                if self.verify_spec_pop_at_dispatch(idx) {
-                    return; // recovery truncated the ROB
-                }
+            // in the front pipe, where the push's verification skipped it;
+            // verify against the BQ entry now.
+            if spec_pop_unverified && self.verify_spec_pop_at_dispatch(pos) {
+                return; // recovery squashed the front pipe
             }
         }
     }
 
-    /// Re-checks a just-dispatched speculative pop against its BQ entry.
-    /// Returns true when a failed verification triggered immediate recovery.
-    fn verify_spec_pop_at_dispatch(&mut self, idx: usize) -> bool {
-        let abs = self.rob[idx].bq_abs.expect("spec pop has a BQ index");
+    /// Re-checks a just-dispatched speculative pop at window position `pos`
+    /// against its BQ entry. Returns true when a failed verification
+    /// triggered immediate recovery.
+    fn verify_spec_pop_at_dispatch(&mut self, pos: u64) -> bool {
+        let abs = self.win[pos].bq_abs.expect("spec pop has a BQ index");
         let Some((predicate, taint_code)) = self.bq.peek_entry_tainted(abs) else { return false };
-        self.rob[idx].verified = true;
-        self.rob[idx].taint = taint_from_index(taint_code);
-        let spec_taken = self.rob[idx].fetch_taken.expect("spec pop chose a direction");
+        let e = &mut self.win[pos];
+        e.verified = true;
+        e.taint = taint_from_index(taint_code);
+        let spec_taken = e.fetch_taken.expect("spec pop chose a direction");
         let actual_taken = !predicate;
         if spec_taken == actual_taken {
-            self.release_checkpoint(idx);
+            self.release_checkpoint(pos);
             return false;
         }
         // Degenerate pop: both directions continue at the same PC (see
         // `execute_push_bq`) — the fetched path is already correct.
-        if let Instr::BranchOnBq { target } = self.rob[idx].instr {
-            if target == self.rob[idx].pc + 1 {
-                self.rob[idx].resolved_taken = Some(actual_taken);
-                self.release_checkpoint(idx);
+        if let Instr::BranchOnBq { target } = e.instr {
+            if target == e.pc + 1 {
+                e.resolved_taken = Some(actual_taken);
+                self.release_checkpoint(pos);
                 return false;
             }
         }
         self.stats.bq_spec_recoveries += 1;
-        self.rob[idx].mispredict = true;
-        self.rob[idx].resolved_taken = Some(actual_taken);
-        let truncated = self.begin_recovery(idx, 0, actual_taken);
-        self.release_checkpoint(if truncated { self.rob.len() - 1 } else { idx });
+        e.mispredict = true;
+        e.resolved_taken = Some(actual_taken);
+        let truncated = self.begin_recovery(pos);
+        self.release_checkpoint(pos);
         truncated
     }
 }

@@ -6,15 +6,17 @@
 //!
 //! Reads/writes the front half of [`Pipeline`]: `fetch_pc`,
 //! `fetch_resume_at`, `fetch_halted`, `btb`, `ras`, `predictor`,
-//! `confidence`, `bq`, `tq`, `front_q`, `icache`, `front_block`. The only
-//! backend state it touches is via `macro_queue_op` (drained pipeline by
-//! construction).
+//! `confidence`, `bq`, `tq`, the tail of the instruction window `win`
+//! (with its snapshot and predictor-metadata side arrays), `icache`,
+//! `front_block`. The only backend state it touches is via
+//! `macro_queue_op` (drained pipeline by construction).
 
 use crate::cfd_queues::{FetchBq, FetchTq};
 use crate::config::{BqMissPolicy, CheckpointPolicy};
 use crate::core::CoreError;
-use crate::pipeline::{DynInst, Pipeline, Snapshot};
+use crate::pipeline::Pipeline;
 use crate::rename::VqRenamer;
+use crate::window::{DynInst, Snapshot};
 use cfd_isa::Instr;
 use cfd_obs::CpiComponent;
 use cfd_predictor::{BranchKind, BtbEntry};
@@ -29,16 +31,12 @@ enum FetchStop {
 }
 
 impl Pipeline {
-    fn front_cap(&self) -> usize {
-        (self.cfg.front_depth as usize + 2) * self.cfg.width
-    }
-
     pub(crate) fn fetch(&mut self) -> Result<(), CoreError> {
         if self.fetch_halted || self.now < self.fetch_resume_at {
             return Ok(());
         }
         let mut fetched = 0;
-        while fetched < self.cfg.width && self.front_q.len() < self.front_cap() {
+        while fetched < self.cfg.width && self.win.front_len() < self.cfg.front_cap() {
             let pc = self.fetch_pc;
             let Some(instr) = self.program.fetch(pc) else {
                 // Wrong-path fetch ran off the program: wait for recovery.
@@ -64,7 +62,7 @@ impl Pipeline {
                 | Instr::RestoreVq { .. }
                 | Instr::SaveTq { .. }
                 | Instr::RestoreTq { .. }
-                    if (!self.rob.is_empty() || !self.front_q.is_empty()) =>
+                    if !self.win.is_empty() =>
                 {
                     self.front_block = CpiComponent::Frontend;
                     return Ok(());
@@ -124,16 +122,9 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Fetches one instruction: resolves/predicts control, steps the fetch
-    /// oracle, and enqueues the `DynInst`.
+    /// Fetches one instruction: steps the fetch oracle, writes the record
+    /// into the window's next slot, and resolves/predicts control in place.
     fn fetch_instr(&mut self, seq: u64, pc: u32, instr: Instr) -> Result<FetchStop, CoreError> {
-        let on_wrong_path = self.diverged_at.is_some();
-        let mut e = DynInst::new(seq, pc, instr, self.now + self.cfg.front_depth as u64, on_wrong_path);
-        e.t_fetch = self.now;
-        let mut next_pc = pc + 1;
-        let mut stop = FetchStop::Continue;
-        let mut is_taken_control = false;
-
         // Step the fetch oracle along the correct path.
         let oracle_ev = if self.diverged_at.is_none() {
             debug_assert_eq!(self.fetch_oracle.pc(), pc, "fetch oracle out of sync");
@@ -145,21 +136,21 @@ impl Pipeline {
             None
         };
 
+        let on_wrong_path = self.diverged_at.is_some();
+        let pos = self.win.push(DynInst::new(seq, pc, instr, self.now + self.cfg.front_depth as u64, on_wrong_path));
+        self.win[pos].t_fetch = self.now;
+        let mut next_pc = pc + 1;
+        let mut stop = FetchStop::Continue;
+        let mut is_taken_control = false;
+
         match instr {
             Instr::Branch { target, .. } => {
-                let dir = if self.cfg.perfect.covers(pc) {
-                    if let Some(ev) = &oracle_ev {
-                        ev.taken.expect("branch has outcome")
-                    } else {
-                        // Wrong path: the oracle cannot help; fall back.
-                        let (d, meta) = self.predictor.predict(Self::bpc(pc));
-                        e.pred_meta = Some(meta);
-                        d
-                    }
+                let dir = if let (true, Some(ev)) = (self.cfg.perfect.covers(pc), oracle_ev.as_ref()) {
+                    ev.taken.expect("branch has outcome")
                 } else {
-                    let (d, meta) = self.predictor.predict(Self::bpc(pc));
-                    e.pred_meta = Some(meta);
-                    d
+                    // Predicted (or on the wrong path, where the oracle
+                    // cannot help).
+                    self.predict(pos, pc)
                 };
                 // Fault injection: an inverted prediction must be masked by
                 // the normal misprediction-recovery machinery.
@@ -167,10 +158,11 @@ impl Pipeline {
                     ^ (self.fault_at(crate::fault::FaultSite::PredictorPredict)
                         == Some(crate::fault::FaultKind::PredictorFlip));
                 self.events.bpred_ops += 1;
+                let e = &mut self.win[pos];
                 e.fetch_taken = Some(dir);
                 e.fetch_target = target;
-                e.snapshot = Some(Box::new(self.take_snapshot()));
-                self.maybe_checkpoint(&mut e, pc);
+                self.take_snapshot(pos);
+                self.maybe_checkpoint(pos, pc);
                 if dir {
                     next_pc = target;
                     is_taken_control = true;
@@ -185,23 +177,24 @@ impl Pipeline {
             }
             Instr::Jr { .. } => {
                 let predicted = self.ras.pop();
-                e.fetch_target = predicted;
-                e.snapshot = Some(Box::new(self.take_snapshot()));
-                self.maybe_checkpoint(&mut e, pc);
+                self.win[pos].fetch_target = predicted;
+                self.take_snapshot(pos);
+                self.maybe_checkpoint(pos, pc);
                 next_pc = predicted;
                 is_taken_control = true;
             }
             Instr::PushBq { .. } => {
-                e.bq_abs = Some(self.bq.fetch_push());
+                let abs = self.bq.fetch_push();
+                self.win[pos].bq_abs = Some(abs);
                 if self.trace {
-                    eprintln!("[{}] FETCH_PUSH seq={} abs={:?}", self.now, seq, e.bq_abs);
+                    eprintln!("[{}] FETCH_PUSH seq={} abs={:?}", self.now, seq, Some(abs));
                 }
                 self.events.bq_ops += 1;
             }
             Instr::BranchOnBq { target } => {
                 self.events.bq_ops += 1;
                 let (abs, pred) = self.bq.fetch_pop();
-                e.bq_abs = Some(abs);
+                self.win[pos].bq_abs = Some(abs);
                 let dir = match pred {
                     Some(p) => {
                         // Early push: timely, non-speculative branching.
@@ -228,8 +221,7 @@ impl Pipeline {
                                         // complement (taken = !predicate under the
                                         // skip-if-false idiom). Training and
                                         // recovery also use the taken domain.
-                                        let (d, meta) = self.predictor.predict(Self::bpc(pc));
-                                        e.pred_meta = Some(meta);
+                                        let d = self.predict(pos, pc);
                                         self.events.bpred_ops += 1;
                                         !d
                                     };
@@ -245,12 +237,12 @@ impl Pipeline {
                                         self.now, seq, abs, predicted_pred
                                     );
                                 }
-                                e.spec_pop = true;
+                                self.win[pos].spec_pop = true;
                                 if abs < self.bq.tail {
                                     // A push owns this entry: link for late-push
                                     // verification.
-                                    self.bq.record_spec_pop(abs, predicted_pred, seq);
-                                    e.verified = false;
+                                    self.bq.record_spec_pop(abs, predicted_pred, seq, pos);
+                                    self.win[pos].verified = false;
                                 } else {
                                     // No push was ever fetched for this pop, so
                                     // the ISA ordering rules place it on the
@@ -259,13 +251,14 @@ impl Pipeline {
                                     // It retires only if the program is buggy,
                                     // which the retirement oracle flags.
                                 }
-                                e.snapshot = Some(Box::new(self.take_snapshot()));
-                                self.maybe_checkpoint(&mut e, pc);
+                                self.take_snapshot(pos);
+                                self.maybe_checkpoint(pos, pc);
                                 !predicted_pred
                             }
                         }
                     }
                 };
+                let e = &mut self.win[pos];
                 e.fetch_taken = Some(dir);
                 e.fetch_target = target;
                 if dir {
@@ -282,12 +275,13 @@ impl Pipeline {
                 self.events.bq_ops += 1;
             }
             Instr::PushTq { .. } => {
-                e.tq_abs = Some(self.tq.fetch_push());
+                self.win[pos].tq_abs = Some(self.tq.fetch_push());
                 self.events.tq_ops += 1;
             }
             Instr::PopTq => {
                 let (abs, ovf) = self.tq.fetch_pop();
                 debug_assert!(ovf.is_some(), "TQ miss pre-checked in fetch()");
+                let e = &mut self.win[pos];
                 e.tq_abs = Some(abs);
                 e.tq_loaded_tcr = self.tq.tcr;
                 self.stats.tq_hits += 1;
@@ -296,6 +290,7 @@ impl Pipeline {
             Instr::PopTqBrOvf { target } => {
                 let (abs, ovf) = self.tq.fetch_pop();
                 let overflow = ovf.expect("TQ miss pre-checked in fetch()");
+                let e = &mut self.win[pos];
                 e.tq_abs = Some(abs);
                 e.tq_loaded_tcr = self.tq.tcr;
                 e.fetch_taken = Some(overflow);
@@ -309,6 +304,7 @@ impl Pipeline {
             }
             Instr::BranchOnTcr { target } => {
                 let cont = self.tq.fetch_branch_on_tcr();
+                let e = &mut self.win[pos];
                 e.fetch_taken = Some(cont);
                 e.fetch_target = target;
                 self.events.tq_ops += 1;
@@ -326,7 +322,7 @@ impl Pipeline {
             | Instr::RestoreVq { .. }
             | Instr::SaveTq { .. }
             | Instr::RestoreTq { .. } => {
-                self.macro_queue_op(&mut e, &oracle_ev);
+                self.macro_queue_op(pos, &oracle_ev);
             }
             _ => {}
         }
@@ -353,7 +349,7 @@ impl Pipeline {
                 self.btb.insert(
                     pc as u64,
                     BtbEntry {
-                        target: instr.direct_target().unwrap_or(e.fetch_target),
+                        target: instr.direct_target().unwrap_or(self.win[pos].fetch_target),
                         kind: match instr {
                             Instr::Branch { .. } => BranchKind::Conditional,
                             Instr::BranchOnBq { .. } => BranchKind::CfdPop,
@@ -374,8 +370,15 @@ impl Pipeline {
         if is_taken_control && stop == FetchStop::Continue {
             stop = FetchStop::BundleEnd;
         }
-        self.front_q.push_back(e);
         Ok(stop)
+    }
+
+    /// Predicts the direction of the branch at window position `pos`,
+    /// keeping the predictor's metadata in the window's side array.
+    fn predict(&mut self, pos: u64, pc: u32) -> bool {
+        let (dir, meta) = self.predictor.predict(Self::bpc(pc));
+        self.win.set_meta(pos, meta);
+        dir
     }
 
     /// Pre-checks whether fetching `instr` would stall this cycle under the
@@ -386,11 +389,14 @@ impl Pipeline {
             && self.bq.pop_would_miss()
     }
 
-    pub(crate) fn take_snapshot(&self) -> Snapshot {
-        Snapshot { bq: self.bq.snapshot(), tq: self.tq.snapshot(), ras: self.ras.snapshot() }
+    /// Records the front end's recovery snapshot for the instruction at
+    /// window position `pos`.
+    fn take_snapshot(&mut self, pos: u64) {
+        let snap = Snapshot { bq: self.bq.snapshot(), tq: self.tq.snapshot(), ras: self.ras.snapshot() };
+        self.win.set_snapshot(pos, snap);
     }
 
-    fn maybe_checkpoint(&mut self, e: &mut DynInst, pc: u32) {
+    fn maybe_checkpoint(&mut self, pos: u64, pc: u32) {
         let want = match self.cfg.checkpoint_policy {
             CheckpointPolicy::AllBranches => true,
             CheckpointPolicy::ConfidenceGuided => !self.confidence.is_confident(Self::bpc(pc)),
@@ -398,7 +404,7 @@ impl Pipeline {
         };
         if want && self.checkpoints_free > 0 {
             self.checkpoints_free -= 1;
-            e.has_checkpoint = true;
+            self.win[pos].has_checkpoint = true;
             self.stats.checkpoints_allocated += 1;
             self.events.checkpoint_ops += 1;
         } else if want {
@@ -411,15 +417,17 @@ impl Pipeline {
     /// Context-switch macro-ops (`Save_*`/`Restore_*`): the pipeline is
     /// drained (enforced by the caller); execute the operation through the
     /// fetch oracle and resynchronize the fetch-side queue structures.
-    fn macro_queue_op(&mut self, e: &mut DynInst, oracle_ev: &Option<cfd_isa::RetireEvent>) {
+    fn macro_queue_op(&mut self, pos: u64, oracle_ev: &Option<cfd_isa::RetireEvent>) {
+        let e = &mut self.win[pos];
         e.done = true;
         e.dispatched = true;
         e.ready_at = self.now;
+        let instr = e.instr;
         if oracle_ev.is_none() {
             // Wrong path: will be squashed; do nothing microarchitectural.
             return;
         }
-        match e.instr {
+        match instr {
             Instr::RestoreBq { .. } => {
                 let contents = self.fetch_oracle.bq.contents();
                 self.bq = FetchBq::new(self.cfg.bq_size);

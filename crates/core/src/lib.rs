@@ -61,13 +61,15 @@ mod pipeline;
 mod rename;
 mod sampled;
 mod scheduler;
+mod seq_list;
 #[cfg(feature = "stage-profile")]
 pub mod stage_profile;
 mod stats;
 mod trace;
+mod window;
 
 pub use crate::core::{CancelToken, Core, CoreError};
-pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
+pub use cfd_queues::{BqSnapshot, FetchBq, FetchTq, SpecPop, TqSnapshot};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use config::{BqMissPolicy, CheckpointPolicy, CoreConfig, PerfectMode};
 pub use fault::{FailureReport, FaultKind, FaultSite, FaultSpec, InjectionRecord};

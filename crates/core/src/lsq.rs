@@ -7,7 +7,7 @@
 
 use crate::pipeline::Pipeline;
 use crate::rename::Taint;
-use cfd_isa::{Instr, MemWidth};
+use cfd_isa::Instr;
 
 /// What a load sees when probing the older in-flight stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,28 +21,28 @@ pub(crate) enum ForwardState {
 }
 
 impl Pipeline {
-    /// Whether the load at ROB index `i` may issue under conservative
-    /// disambiguation.
-    pub(crate) fn load_may_issue(&self, i: usize) -> bool {
-        let Instr::Load { offset, width, .. } = self.rob[i].instr else { return true };
-        let base = self.rob[i].psrc1.expect("load base renamed");
+    /// What the load at window position `pos` sees this cycle under
+    /// conservative disambiguation: [`ForwardState::MustWait`] while its
+    /// base register or an older store is not ready, else where its value
+    /// comes from.
+    pub(crate) fn load_forward_state(&self, pos: u64) -> ForwardState {
+        let load = &self.win[pos];
+        let Instr::Load { offset, width, .. } = load.instr else { unreachable!("forwarding probe of a non-load") };
+        let base = load.psrc1.expect("load base renamed");
         if !self.rename.is_ready(base, self.now) {
-            return false;
+            return ForwardState::MustWait;
         }
         let addr = (self.rename.read(base) as u64).wrapping_add(offset as u64);
-        !matches!(self.forwarding_probe(i, addr, width), ForwardState::MustWait)
-    }
-
-    fn forwarding_probe(&self, load_idx: usize, addr: u64, width: MemWidth) -> ForwardState {
         let lw = width.bytes();
         let mut result = ForwardState::Memory;
-        let load_seq = self.rob[load_idx].rob_seq;
         for &sseq in &self.store_list {
-            if sseq >= load_seq {
+            if sseq >= pos {
                 break;
             }
-            let Some(j) = self.rob_idx(sseq) else { continue };
-            let s = &self.rob[j];
+            if !self.win.in_rob(sseq) {
+                continue;
+            }
+            let s = &self.win[sseq];
             if !s.issued {
                 return ForwardState::MustWait; // unknown address
             }
@@ -70,9 +70,5 @@ impl Pipeline {
             }
         }
         result
-    }
-
-    pub(crate) fn forwarding_source(&self, load_idx: usize, addr: u64, width: MemWidth) -> ForwardState {
-        self.forwarding_probe(load_idx, addr, width)
     }
 }

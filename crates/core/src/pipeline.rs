@@ -10,11 +10,13 @@
 //! cycle-step conductor.
 //!
 //! What lives *here* is the state struct itself and everything more than
-//! one stage touches: the `DynInst` in-flight record, ROB indexing, the
-//! PRF-write wakeup hook, fault-site visiting, CPI-stack accounting and
-//! telemetry sampling, and the post-mortem renderers.
+//! one stage touches: the PRF-write wakeup hook, fault-site visiting,
+//! CPI-stack accounting and telemetry sampling, and the post-mortem
+//! renderers. The in-flight instructions live in one ring,
+//! [`Window`](crate::window::Window): the ROB and the front pipe are two
+//! ranges of it, and an instruction's ROB ordinal is its position there.
 
-use crate::cfd_queues::{BqSnapshot, FetchBq, FetchTq, TqSnapshot};
+use crate::cfd_queues::{FetchBq, FetchTq};
 use crate::config::CoreConfig;
 use crate::core::CoreError;
 use crate::fault::{FaultKind, FaultSite};
@@ -24,165 +26,13 @@ use crate::rename::{PhysReg, RenameState, Taint, VqRenamer};
 use crate::scheduler::{EventRing, ReadySet};
 use crate::stats::CoreStats;
 use crate::trace::{CycleSnap, PipeEvent, PipeTrace, SnapRing};
+use crate::window::Window;
 use cfd_energy::EventCounts;
 use cfd_isa::{Instr, Machine, MemImage, MemWidth, Program, QueueConfig};
 use cfd_mem::MemLevel;
 use cfd_obs::CpiComponent;
-use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, PredMeta, Ras, RasSnapshot};
+use cfd_predictor::{predictor_by_name, Btb, ConfidenceEstimator, DirectionPredictor, Ras};
 use std::collections::VecDeque;
-
-/// Recovery snapshot attached to instructions that can mispredict.
-/// (The VQ renamer is a rename-stage structure repaired by the squash walk,
-/// so no VQ pointers are snapshotted here.)
-#[derive(Debug, Clone)]
-pub(crate) struct Snapshot {
-    pub(crate) bq: BqSnapshot,
-    pub(crate) tq: TqSnapshot,
-    pub(crate) ras: RasSnapshot,
-}
-
-/// One in-flight instruction.
-#[derive(Debug, Clone)]
-pub(crate) struct DynInst {
-    pub(crate) seq: u64,
-    /// Dense ROB ordinal assigned at dispatch (fetch seqs have gaps when
-    /// the front pipe is squashed; ROB indexing needs contiguity).
-    pub(crate) rob_seq: u64,
-    pub(crate) pc: u32,
-    pub(crate) instr: Instr,
-    /// Cycle at which the instruction may dispatch (front-pipe delay).
-    pub(crate) dispatch_at: u64,
-    /// Fetched while fetch was known to be on the wrong path.
-    pub(crate) on_wrong_path: bool,
-    /// Direction chosen at fetch for conditional control.
-    pub(crate) fetch_taken: Option<bool>,
-    /// Predicted target for indirect jumps.
-    pub(crate) fetch_target: u32,
-    /// Predictor metadata (plain branches and speculative pops).
-    pub(crate) pred_meta: Option<PredMeta>,
-    /// This `Branch_on_BQ` was resolved speculatively (BQ miss).
-    pub(crate) spec_pop: bool,
-    /// Speculative pop verified by its push.
-    pub(crate) verified: bool,
-    /// BQ absolute index (pushes and pops).
-    pub(crate) bq_abs: Option<u64>,
-    /// TQ absolute index (pushes and pops).
-    pub(crate) tq_abs: Option<u64>,
-    /// TCR value loaded by a `Pop_TQ` at fetch.
-    pub(crate) tq_loaded_tcr: u32,
-    /// Recovery snapshot.
-    pub(crate) snapshot: Option<Box<Snapshot>>,
-    pub(crate) has_checkpoint: bool,
-    // Rename results.
-    pub(crate) pdest: Option<PhysReg>,
-    /// Previous mapping of the destination (RMT-updating instructions).
-    pub(crate) prev_phys: Option<PhysReg>,
-    pub(crate) psrc1: Option<PhysReg>,
-    pub(crate) psrc2: Option<PhysReg>,
-    /// The VQ mapping a `Pop_VQ` frees at retirement. Normally equals
-    /// `psrc1`; kept separate so the free list stays consistent when
-    /// fault injection corrupts the operand mapping.
-    pub(crate) vq_free: Option<PhysReg>,
-    /// Occupies an IQ slot until issued.
-    pub(crate) in_iq: bool,
-    pub(crate) in_lsq: bool,
-    pub(crate) dispatched: bool,
-    pub(crate) issued: bool,
-    pub(crate) done: bool,
-    pub(crate) ready_at: u64,
-    // Memory.
-    pub(crate) eff_addr: Option<u64>,
-    // Stage timestamps (pipeline tracing).
-    pub(crate) t_fetch: u64,
-    pub(crate) t_dispatch: u64,
-    pub(crate) t_issue: u64,
-    pub(crate) t_complete: u64,
-    // Resolution.
-    pub(crate) resolved_taken: Option<bool>,
-    pub(crate) mispredict: bool,
-    pub(crate) recover_at_retire: bool,
-    pub(crate) taint: Taint,
-}
-
-impl DynInst {
-    pub(crate) fn new(seq: u64, pc: u32, instr: Instr, dispatch_at: u64, on_wrong_path: bool) -> DynInst {
-        DynInst {
-            seq,
-            rob_seq: 0,
-            pc,
-            instr,
-            dispatch_at,
-            on_wrong_path,
-            fetch_taken: None,
-            fetch_target: 0,
-            pred_meta: None,
-            spec_pop: false,
-            verified: true,
-            bq_abs: None,
-            tq_abs: None,
-            tq_loaded_tcr: 0,
-            snapshot: None,
-            has_checkpoint: false,
-            pdest: None,
-            prev_phys: None,
-            psrc1: None,
-            psrc2: None,
-            vq_free: None,
-            in_iq: false,
-            in_lsq: false,
-            dispatched: false,
-            issued: false,
-            done: false,
-            ready_at: u64::MAX,
-            eff_addr: None,
-            t_fetch: 0,
-            t_dispatch: 0,
-            t_issue: 0,
-            t_complete: 0,
-            resolved_taken: None,
-            mispredict: false,
-            recover_at_retire: false,
-            taint: None,
-        }
-    }
-
-    /// Executes in the backend (needs an IQ slot and a function unit).
-    pub(crate) fn needs_backend(&self) -> bool {
-        match self.instr {
-            Instr::Alu { .. }
-            | Instr::Li { .. }
-            | Instr::Load { .. }
-            | Instr::Store { .. }
-            | Instr::Prefetch { .. }
-            | Instr::Branch { .. }
-            | Instr::Jr { .. }
-            | Instr::PushBq { .. }
-            | Instr::PushVq { .. }
-            | Instr::PopVq { .. }
-            | Instr::PushTq { .. } => true,
-            Instr::Jump { .. }
-            | Instr::Jal { .. }
-            | Instr::BranchOnBq { .. }
-            | Instr::MarkBq
-            | Instr::ForwardBq
-            | Instr::PopTq
-            | Instr::BranchOnTcr { .. }
-            | Instr::PopTqBrOvf { .. }
-            | Instr::Nop
-            | Instr::Halt
-            | Instr::SaveBq { .. }
-            | Instr::RestoreBq { .. }
-            | Instr::SaveVq { .. }
-            | Instr::RestoreVq { .. }
-            | Instr::SaveTq { .. }
-            | Instr::RestoreTq { .. } => false,
-        }
-    }
-
-    pub(crate) fn is_mem_op(&self) -> bool {
-        matches!(self.instr, Instr::Load { .. } | Instr::Store { .. } | Instr::Prefetch { .. })
-    }
-}
 
 /// All simulated state, shared by the stage modules.
 ///
@@ -212,10 +62,12 @@ pub(crate) struct Pipeline {
     pub(crate) bq: FetchBq,
     pub(crate) tq: FetchTq,
     pub(crate) vq: VqRenamer,
-    pub(crate) front_q: VecDeque<DynInst>,
+    /// Every in-flight instruction, fetch to retirement: the ROB is
+    /// `win.rob()`, the front pipe `win.front()`, and a position is the
+    /// instruction's ROB ordinal (`rob_seq`).
+    pub(crate) win: Window,
     // Back end.
     pub(crate) rename: RenameState,
-    pub(crate) rob: VecDeque<DynInst>,
     /// The scheduler's ready queue: a bitset over ROB slots holding the
     /// ordinals of dispatched instructions whose sources are all computed,
     /// scanned oldest-first from the ROB head. Entries are re-validated at
@@ -231,7 +83,9 @@ pub(crate) struct Pipeline {
     /// `exec_list` rescan.
     pub(crate) completion_wheel: EventRing,
     /// Scratch lists reused by every cycle's wakeup drain, issue select and
-    /// completion drain (always empty between stages).
+    /// completion drain (always empty between stages). Each starts with
+    /// room for a full window's worth of ordinals, so a burst of events
+    /// does not grow it mid-run.
     pub(crate) wake_batch: Vec<u64>,
     pub(crate) reregister: Vec<u64>,
     pub(crate) completions: Vec<u64>,
@@ -245,7 +99,6 @@ pub(crate) struct Pipeline {
     pub(crate) mem: MemoryPort,
     pub(crate) now: u64,
     pub(crate) next_seq: u64,
-    pub(crate) next_rob_seq: u64,
     /// Event tracing enabled (CFD_TRACE env var, cached).
     pub(crate) trace: bool,
     pub(crate) halted: bool,
@@ -306,6 +159,7 @@ impl Pipeline {
         let fetch_oracle = oracle.clone();
         let predictor = predictor_by_name(&cfg.predictor)
             .ok_or_else(|| CoreError::Config(format!("unknown predictor `{}`", cfg.predictor)))?;
+        let window = (cfg.rob_size + cfg.front_cap()).next_power_of_two();
         Ok(Pipeline {
             program,
             oracle,
@@ -321,15 +175,14 @@ impl Pipeline {
             bq: FetchBq::new(cfg.bq_size),
             tq: FetchTq::new(cfg.tq_size, cfg.tq_trip_bits),
             vq: VqRenamer::new(cfg.vq_size),
-            front_q: VecDeque::new(),
+            win: Window::new(window),
             rename: RenameState::new(cfg.prf_size),
-            rob: VecDeque::new(),
             ready: ReadySet::new(cfg.rob_size),
             wakeup_wheel: EventRing::new(),
             completion_wheel: EventRing::new(),
-            wake_batch: Vec::new(),
-            reregister: Vec::new(),
-            completions: Vec::new(),
+            wake_batch: Vec::with_capacity(window),
+            reregister: Vec::with_capacity(window),
+            completions: Vec::with_capacity(window),
             store_list: VecDeque::new(),
             iq_count: 0,
             lsq_count: 0,
@@ -337,7 +190,6 @@ impl Pipeline {
             mem: MemoryPort::new(cfg.hierarchy.clone()),
             now: 0,
             next_seq: 0,
-            next_rob_seq: 0,
             trace: std::env::var_os("CFD_TRACE").is_some(),
             halted: false,
             stats: CoreStats::default(),
@@ -387,7 +239,8 @@ impl Pipeline {
     /// The single component charged for this cycle's idle retire slots,
     /// classified from the end-of-cycle ROB head (or its absence).
     fn idle_cause(&self) -> CpiComponent {
-        if let Some(head) = self.rob.front() {
+        if let Some(pos) = self.win.rob_head() {
+            let head = &self.win[pos];
             // A resolved speculative BQ pop waiting for its late push.
             if head.done && !head.verified {
                 return CpiComponent::CfdStall;
@@ -422,7 +275,7 @@ impl Pipeline {
         let bq = self.bq.length();
         let vq = self.vq.length();
         let tq = self.tq.length();
-        let rob = self.rob.len() as u64;
+        let rob = self.win.rob_len() as u64;
         let mut row = vec![
             cycle,
             self.stats.retired,
@@ -432,7 +285,7 @@ impl Pipeline {
             rob,
             self.iq_count as u64,
             self.lsq_count as u64,
-            self.front_q.len() as u64,
+            self.win.front_len() as u64,
             bq,
             vq,
             tq,
@@ -473,10 +326,10 @@ impl Pipeline {
             cycle: self.now,
             fetch_pc: self.fetch_pc,
             retired: self.stats.retired,
-            rob: self.rob.len(),
+            rob: self.win.rob_len(),
             iq: self.iq_count,
             lsq: self.lsq_count,
-            front_q: self.front_q.len(),
+            front_q: self.win.front_len(),
             bq_len: self.bq.length(),
             tq_len: self.tq.length(),
             tcr: self.tq.tcr,
@@ -525,14 +378,6 @@ impl Pipeline {
         (pc as u64) << 2
     }
 
-    /// ROB index of the instruction with dense ordinal `rob_seq`.
-    #[inline]
-    pub(crate) fn rob_idx(&self, rob_seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.rob_seq;
-        let idx = rob_seq.checked_sub(front)? as usize;
-        (idx < self.rob.len()).then_some(idx)
-    }
-
     /// Writes a physical register and moves its waiters to the wakeup
     /// wheel at the value's ready cycle. Every producer-side PRF write goes
     /// through here so no registered consumer can miss its wakeup.
@@ -543,9 +388,11 @@ impl Pipeline {
         }
     }
 
-    /// Records a finished (retired or squashed) instruction into the trace.
-    pub(crate) fn trace_record(&mut self, e: &DynInst, retired: Option<u64>) {
+    /// Records the finished (retired or squashed) instruction at window
+    /// position `pos` into the trace.
+    pub(crate) fn trace_record(&mut self, pos: u64, retired: Option<u64>) {
         if let Some(t) = &mut self.pipe_trace {
+            let e = &self.win[pos];
             if t.accepting() && e.seq < u64::MAX {
                 t.record(PipeEvent {
                     seq: e.seq,
@@ -564,18 +411,19 @@ impl Pipeline {
 
     /// One-line pipeline state summary for deadlock diagnostics.
     pub(crate) fn dump_state(&self) -> String {
-        let head = self.rob.front().map(|e| {
+        let head = self.win.rob_head().map(|pos| {
+            let e = &self.win[pos];
             format!(
                 "head seq={} pc={} `{}` disp={} issued={} done={} verified={} spec_pop={} bq_abs={:?}",
                 e.seq, e.pc, e.instr, e.dispatched, e.issued, e.done, e.verified, e.spec_pop, e.bq_abs
             )
         });
         format!(
-            "rob={} iq={} lsq={} front_q={} fetch_pc={} fetch_halted={} resume_at={} diverged={:?}              bq[h={} t={} net={} pend={}] tq[h={} t={} tcr={}] vq[h={} t={}] free_regs={} | {:?}",
-            self.rob.len(),
+            "rob={} iq={} lsq={} front_q={} fetch_pc={} fetch_halted={} resume_at={} diverged={:?} bq[h={} t={} net={} pend={}] tq[h={} t={} tcr={}] vq[h={} t={}] free_regs={} | {:?}",
+            self.win.rob_len(),
             self.iq_count,
             self.lsq_count,
-            self.front_q.len(),
+            self.win.front_len(),
             self.fetch_pc,
             self.fetch_halted,
             self.fetch_resume_at,
@@ -593,7 +441,10 @@ impl Pipeline {
             head
         ) + &format!(
             " | front_head: {:?} vq_net={} vq_pend={} bq_len={} ckpt_free={}",
-            self.front_q.front().map(|e| format!("seq={} pc={} `{}` disp_at={}", e.seq, e.pc, e.instr, e.dispatch_at)),
+            self.win.front_head().map(|pos| {
+                let e = &self.win[pos];
+                format!("seq={} pc={} `{}` disp_at={}", e.seq, e.pc, e.instr, e.dispatch_at)
+            }),
             self.vq.net_ctr,
             self.vq.pending_ctr,
             self.bq.length(),

@@ -8,6 +8,7 @@
 //! mappings that links each `Pop_VQ` to its `Push_VQ` through the existing
 //! PRF, leaving the backend untouched.
 
+use crate::seq_list::{ListPool, SeqList};
 use cfd_isa::{Reg, NUM_REGS};
 use cfd_mem::MemLevel;
 use std::collections::VecDeque;
@@ -46,7 +47,9 @@ pub struct RenameState {
     prf: Vec<PhysEntry>,
     rmt: [PhysReg; NUM_REGS],
     freelist: VecDeque<PhysReg>,
-    waiters: Vec<Vec<u64>>,
+    /// One waiter list per physical register, linked through `waiter_pool`.
+    waiters: Vec<SeqList>,
+    waiter_pool: ListPool,
 }
 
 impl RenameState {
@@ -60,8 +63,8 @@ impl RenameState {
             *m = i as PhysReg;
         }
         let freelist = (NUM_REGS as PhysReg..prf_size as PhysReg).collect();
-        let waiters = vec![Vec::new(); prf_size];
-        RenameState { prf, rmt, freelist, waiters }
+        let waiters = vec![SeqList::EMPTY; prf_size];
+        RenameState { prf, rmt, freelist, waiters, waiter_pool: ListPool::new() }
     }
 
     /// Free physical registers remaining.
@@ -136,7 +139,7 @@ impl RenameState {
     /// Registers the instruction with ROB ordinal `seq` as blocked on `p`
     /// (whose value has not been computed yet).
     pub fn add_waiter(&mut self, p: PhysReg, seq: u64) {
-        self.waiters[p as usize].push(seq);
+        self.waiter_pool.push(&mut self.waiters[p as usize], seq);
     }
 
     /// Whether any instruction is registered as blocked on `p`.
@@ -146,15 +149,16 @@ impl RenameState {
 
     /// Drains the waiter list of `p` in registration order (called by the
     /// producer's write so the scheduler can move the consumers to its
-    /// wakeup wheel). The list keeps its capacity for the register's next
-    /// consumers.
-    pub fn drain_waiters(&mut self, p: PhysReg) -> std::vec::Drain<'_, u64> {
-        self.waiters[p as usize].drain(..)
+    /// wakeup wheel). Each entry leaves the list as the iterator yields
+    /// it; the freed nodes serve later registrations on any register.
+    pub fn drain_waiters(&mut self, p: PhysReg) -> impl Iterator<Item = u64> + '_ {
+        let (pool, list) = (&mut self.waiter_pool, &mut self.waiters[p as usize]);
+        std::iter::from_fn(move || pool.pop(list))
     }
 
     /// Total instructions parked on waiter lists (diagnostics only).
     pub fn waiting(&self) -> usize {
-        self.waiters.iter().map(Vec::len).sum()
+        self.waiter_pool.len()
     }
 }
 

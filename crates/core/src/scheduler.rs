@@ -4,7 +4,7 @@
 //! The scheduler never polls the IQ. Dispatch registers each backend
 //! instruction via [`Pipeline::register_or_ready`]: instructions with all
 //! sources computed go straight to the ready set (a [`ReadySet`] bitset
-//! over ROB slots, scanned oldest-first from the ROB head); the rest park
+//! over ROB positions, scanned oldest-first from the ROB head); the rest park
 //! either on a physical register's waiter list (value not computed yet) or
 //! on the `wakeup_wheel` bucket of the cycle the value arrives. Producer
 //! writes go through [`Pipeline::prf_write`], which drains waiter lists
@@ -14,8 +14,10 @@
 //! that grow in place when an event lands beyond the horizon. An event
 //! written for a cycle the ring has already drained fires at the next
 //! drain, exactly as an ordered map keyed by cycle would deliver it.
-//! Buckets, the ready bitset and the per-cycle scratch lists keep their
-//! capacity across cycles, so steady-state scheduling allocates nothing.
+//! Buckets and waiter lists link their entries through shared node pools
+//! ([`ListPool`]), and the ready bitset and the per-cycle scratch lists
+//! keep their capacity across cycles, so once the pipeline has warmed up
+//! scheduling allocates nothing.
 //!
 //! Timing is identical to a per-cycle polling scheduler by construction:
 //! `issue` re-validates the full polling predicate (liveness + source
@@ -29,6 +31,7 @@ use crate::fault::{FaultKind, FaultSite};
 use crate::lsq::ForwardState;
 use crate::pipeline::{extract, Pipeline};
 use crate::rename::join_taint;
+use crate::seq_list::{ListPool, SeqList};
 use cfd_isa::{eval_alu, Instr, Src2};
 
 /// Function-unit class an instruction competes for at issue (the paper's
@@ -97,10 +100,14 @@ const RING_INITIAL_BUCKETS: usize = 512;
 /// so it fires at the next drain. An event beyond the horizon grows the
 /// ring in place to the next power of two that holds it.
 ///
+/// Buckets are [`SeqList`]s over one shared node pool, so the ring stops
+/// allocating once the number of pending events has reached its peak.
+///
 /// [`drain_due`]: EventRing::drain_due
 #[derive(Debug, Clone)]
 pub(crate) struct EventRing {
-    buckets: Vec<Vec<u64>>,
+    buckets: Vec<SeqList>,
+    pool: ListPool,
     /// First cycle not yet drained.
     next: u64,
 }
@@ -112,29 +119,33 @@ impl EventRing {
 
     fn with_buckets(n: usize) -> EventRing {
         debug_assert!(n.is_power_of_two());
-        EventRing { buckets: vec![Vec::new(); n], next: 0 }
+        EventRing { buckets: vec![SeqList::EMPTY; n], pool: ListPool::new(), next: 0 }
     }
 
-    /// The bucket that holds events for `cycle`, growing the ring when
-    /// `cycle` lies beyond the horizon.
-    fn bucket(&mut self, cycle: u64) -> &mut Vec<u64> {
+    /// The index of the bucket that holds events for `cycle`, growing the
+    /// ring when `cycle` lies beyond the horizon.
+    fn bucket(&mut self, cycle: u64) -> usize {
         let cycle = cycle.max(self.next);
         let ahead = cycle - self.next;
         if ahead >= self.buckets.len() as u64 {
             self.grow(ahead + 1);
         }
         let mask = self.buckets.len() as u64 - 1;
-        &mut self.buckets[(cycle & mask) as usize]
+        (cycle & mask) as usize
     }
 
     /// Schedules `seq` at `cycle`.
     pub(crate) fn push(&mut self, cycle: u64, seq: u64) {
-        self.bucket(cycle).push(seq);
+        let b = self.bucket(cycle);
+        self.pool.push(&mut self.buckets[b], seq);
     }
 
     /// Schedules every ordinal of `seqs` at `cycle`, in order.
     pub(crate) fn extend(&mut self, cycle: u64, seqs: impl IntoIterator<Item = u64>) {
-        self.bucket(cycle).extend(seqs);
+        let b = self.bucket(cycle);
+        for seq in seqs {
+            self.pool.push(&mut self.buckets[b], seq);
+        }
     }
 
     /// Resizes to at least `span` buckets. The pending window keeps its
@@ -144,7 +155,7 @@ impl EventRing {
     fn grow(&mut self, span: u64) {
         let old = self.buckets.len();
         let new = (span as usize).next_power_of_two().max(2 * old);
-        self.buckets.resize_with(new, Vec::new);
+        self.buckets.resize(new, SeqList::EMPTY);
         for k in 0..old as u64 {
             let cycle = self.next + k;
             let (from, to) = ((cycle as usize) & (old - 1), (cycle as usize) & (new - 1));
@@ -155,7 +166,7 @@ impl EventRing {
     }
 
     /// Appends every event due by `now` to `out` (earliest cycle first) and
-    /// advances the ring past `now`. Buckets keep their capacity.
+    /// advances the ring past `now`.
     pub(crate) fn drain_due(&mut self, now: u64, out: &mut Vec<u64>) {
         if now < self.next {
             return;
@@ -164,7 +175,7 @@ impl EventRing {
         let span = (now - self.next + 1).min(len);
         for k in 0..span {
             let slot = ((self.next + k) & (len - 1)) as usize;
-            out.append(&mut self.buckets[slot]);
+            self.pool.drain_into(&mut self.buckets[slot], out);
         }
         self.next = now + 1;
     }
@@ -244,9 +255,11 @@ impl Pipeline {
     /// predicate is exactly the polling scheduler's: stores wait on address
     /// readiness alone.
     pub(crate) fn register_or_ready(&mut self, rob_seq: u64) {
-        let Some(i) = self.rob_idx(rob_seq) else { return };
+        if !self.win.in_rob(rob_seq) {
+            return;
+        }
         let (psrc1, psrc2, is_store, live) = {
-            let e = &self.rob[i];
+            let e = &self.win[rob_seq];
             let is_store = matches!(e.instr, Instr::Store { .. });
             (e.psrc1, e.psrc2, is_store, e.dispatched && !e.issued && e.in_iq)
         };
@@ -307,10 +320,8 @@ impl Pipeline {
         // fixed for the scan, and nothing inside the loop inserts into the
         // set: a candidate's bit is cleared as it leaves, and re-blocked
         // candidates are re-registered after the scan.
-        let (mut cursor, end) = match self.rob.front() {
-            Some(head) => (head.rob_seq, head.rob_seq + self.rob.len() as u64),
-            None => (0, 0),
-        };
+        let rob = self.win.rob();
+        let (mut cursor, end) = (rob.start, rob.end);
         let mut reregister = std::mem::take(&mut self.reregister);
         while issued < self.cfg.issue_width {
             let Some(seq) = self.ready.next_in(cursor, end) else { break };
@@ -319,12 +330,12 @@ impl Pipeline {
             // Liveness: recovery prunes the ready set, but a pruned-then-
             // reused ordinal or a lazily-dropped wheel entry can still
             // surface here. The checks below make such entries inert.
-            let Some(i) = self.rob_idx(seq) else {
+            if !self.win.in_rob(seq) {
                 self.ready.remove(seq);
                 continue;
-            };
+            }
             {
-                let e = &self.rob[i];
+                let e = &self.win[seq];
                 if !(e.dispatched && !e.issued && e.in_iq) {
                     self.ready.remove(seq);
                     continue;
@@ -337,7 +348,7 @@ impl Pipeline {
             // younger instruction re-allocates). Stores issue on address
             // readiness alone (split agen/data, like a real LSQ): the data
             // may arrive later and is checked at forwarding/retire time.
-            let e = &self.rob[i];
+            let e = &self.win[seq];
             let is_store = matches!(e.instr, Instr::Store { .. });
             let ready = e.psrc1.is_none_or(|p| self.rename.is_ready(p, now))
                 && (is_store || e.psrc2.is_none_or(|p| self.rename.is_ready(p, now)));
@@ -354,16 +365,23 @@ impl Pipeline {
             }
             // Loads: conservative disambiguation (all older stores have
             // computed addresses; exact-match forwarding; partial overlap
-            // waits for the store to drain).
-            if matches!(e.instr, Instr::Load { .. }) && !self.load_may_issue(i) {
-                continue;
-            }
+            // waits for the store to drain). The one store-list probe
+            // decides both whether the load issues and where its value
+            // comes from.
+            let forward = if matches!(e.instr, Instr::Load { .. }) {
+                match self.load_forward_state(seq) {
+                    ForwardState::MustWait => continue,
+                    f => f,
+                }
+            } else {
+                ForwardState::Memory
+            };
 
             // Issue.
             if let Some(k) = class.slot() {
                 in_use[k] += 1;
             }
-            if !self.execute_at(i) {
+            if !self.execute_at(seq, forward) {
                 // Transient structural refusal (e.g. MSHRs full): retry.
                 if let Some(k) = class.slot() {
                     in_use[k] -= 1;
@@ -373,14 +391,14 @@ impl Pipeline {
             issued += 1;
             self.stats.issued += 1;
             self.ready.remove(seq);
-            let ready_at = self.rob[i].ready_at;
-            self.completion_wheel.push(ready_at, seq);
-            if self.rob[i].on_wrong_path {
+            let e = &mut self.win[seq];
+            self.completion_wheel.push(e.ready_at, seq);
+            if e.on_wrong_path {
                 self.stats.wrong_path_issued += 1;
             }
             self.events.iq_wakeups += 1;
-            if self.rob[i].in_iq {
-                self.rob[i].in_iq = false;
+            if e.in_iq {
+                e.in_iq = false;
                 self.iq_count -= 1;
             }
         }
@@ -391,13 +409,14 @@ impl Pipeline {
         self.reregister = reregister;
     }
 
-    /// Computes the instruction at ROB index `i` and schedules its
-    /// completion. Returns false when a structural resource (MSHR) refused
-    /// it this cycle.
-    fn execute_at(&mut self, i: usize) -> bool {
+    /// Computes the instruction at window position `pos` and schedules its
+    /// completion; a load takes its value as `forward` (its store-list
+    /// probe this cycle) says. Returns false when a structural resource
+    /// (MSHR) refused it this cycle.
+    fn execute_at(&mut self, pos: u64, forward: ForwardState) -> bool {
         let now = self.now;
         let (instr, pc, psrc1, psrc2) = {
-            let e = &self.rob[i];
+            let e = &self.win[pos];
             (e.instr, e.pc, e.psrc1, e.psrc2)
         };
         let v1 = psrc1.map(|p| self.rename.read(p)).unwrap_or(0);
@@ -439,7 +458,7 @@ impl Pipeline {
                 let addr = (v1 as u64).wrapping_add(offset as u64);
                 self.events.lsq_ops += 1;
                 // Store-to-load forwarding.
-                match self.forwarding_source(i, addr, width) {
+                match forward {
                     ForwardState::Forward { data, taint } => {
                         self.stats.lsq_forwards += 1;
                         value = extract(data, width, signed);
@@ -462,9 +481,9 @@ impl Pipeline {
                         };
                         latency = res.latency as u64 + extra;
                     }
-                    ForwardState::MustWait => unreachable!("checked by load_may_issue"),
+                    ForwardState::MustWait => unreachable!("a waiting load does not issue"),
                 }
-                self.rob[i].eff_addr = Some(addr);
+                self.win[pos].eff_addr = Some(addr);
             }
             Instr::Prefetch { offset, .. } => {
                 let addr = (v1 as u64).wrapping_add(offset as u64);
@@ -472,7 +491,7 @@ impl Pipeline {
                 if res.mshr_full {
                     return false;
                 }
-                self.rob[i].eff_addr = Some(addr);
+                self.win[pos].eff_addr = Some(addr);
                 latency = 1; // non-binding: completes immediately
                 self.events.lsq_ops += 1;
             }
@@ -481,7 +500,7 @@ impl Pipeline {
                 // load forwards from this store (or implicitly at retire via
                 // the oracle).
                 let addr = (v1 as u64).wrapping_add(offset as u64);
-                self.rob[i].eff_addr = Some(addr);
+                self.win[pos].eff_addr = Some(addr);
                 latency = 1;
                 self.events.lsq_ops += 1;
             }
@@ -509,7 +528,7 @@ impl Pipeline {
         }
 
         let pdest = {
-            let e = &mut self.rob[i];
+            let e = &mut self.win[pos];
             e.issued = true;
             e.t_issue = now;
             e.ready_at = now + latency;
@@ -538,20 +557,23 @@ impl Pipeline {
         self.completion_wheel.drain_due(self.now, &mut completions);
         completions.sort_unstable();
         for k in 0..completions.len() {
-            let seq = completions[k];
-            let Some(i) = self.rob_idx(seq) else { continue };
-            if !(self.rob[i].issued && !self.rob[i].done && self.rob[i].ready_at <= self.now) {
+            let pos = completions[k];
+            if !self.win.in_rob(pos) {
                 continue;
             }
-            self.rob[i].done = true;
-            self.rob[i].t_complete = self.now;
-            let instr = self.rob[i].instr;
+            let e = &mut self.win[pos];
+            if !(e.issued && !e.done && e.ready_at <= self.now) {
+                continue;
+            }
+            e.done = true;
+            e.t_complete = self.now;
+            let instr = e.instr;
             let truncated = match instr {
-                Instr::Branch { .. } | Instr::Jr { .. } => self.resolve_branch(i),
-                Instr::PushBq { .. } => self.execute_push_bq(i),
+                Instr::Branch { .. } | Instr::Jr { .. } => self.resolve_branch(pos),
+                Instr::PushBq { .. } => self.execute_push_bq(pos),
                 Instr::PushTq { .. } => {
-                    let abs = self.rob[i].tq_abs.expect("tq push has index");
-                    let src = self.rob[i].psrc1.expect("tq push has source");
+                    let abs = e.tq_abs.expect("tq push has index");
+                    let src = e.psrc1.expect("tq push has source");
                     let mut v = self.rename.read(src);
                     // Fault injection at the TQ write port: an off-by-one
                     // trip count makes `Branch_on_TCR` run the loop a wrong

@@ -52,6 +52,9 @@ pub use simple::{Bimodal, Gshare, GshareMeta};
 pub use tage::{Tage, TageConfig, TageMeta};
 
 /// Per-prediction recovery/training metadata, one variant per predictor.
+///
+/// The metadata is held inline, not boxed: a core keeps one per in-flight
+/// branch in a fixed slot array, so predicting allocates nothing.
 #[derive(Debug, Clone)]
 pub enum PredMeta {
     /// Static predictors carry no state.
@@ -59,11 +62,11 @@ pub enum PredMeta {
     /// Bimodal carries no speculative state.
     Bimodal,
     /// Gshare metadata.
-    Gshare(Box<GshareMeta>),
+    Gshare(GshareMeta),
     /// Perceptron metadata.
-    Perceptron(Box<PerceptronMeta>),
+    Perceptron(PerceptronMeta),
     /// ISL-TAGE metadata.
-    IslTage(Box<IslTageMeta>),
+    IslTage(IslTageMeta),
 }
 
 /// The uniform, object-safe interface the timing core drives.
@@ -158,7 +161,7 @@ impl DirectionPredictor for Bimodal {
 impl DirectionPredictor for Gshare {
     fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
         let (p, m) = Gshare::predict(self, pc);
-        (p, PredMeta::Gshare(Box::new(m)))
+        (p, PredMeta::Gshare(m))
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::Gshare(m) = meta {
@@ -186,7 +189,7 @@ impl DirectionPredictor for Gshare {
 impl DirectionPredictor for Perceptron {
     fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
         let (p, m) = Perceptron::predict(self, pc);
-        (p, PredMeta::Perceptron(Box::new(m)))
+        (p, PredMeta::Perceptron(m))
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::Perceptron(m) = meta {
@@ -214,7 +217,7 @@ impl DirectionPredictor for Perceptron {
 impl DirectionPredictor for IslTage {
     fn predict(&mut self, pc: u64) -> (bool, PredMeta) {
         let (p, m) = IslTage::predict(self, pc);
-        (p, PredMeta::IslTage(Box::new(m)))
+        (p, PredMeta::IslTage(m))
     }
     fn recover(&mut self, pc: u64, taken: bool, meta: &PredMeta) {
         if let PredMeta::IslTage(m) = meta {
